@@ -16,7 +16,6 @@
 //! `{"correct", "attempted", "failed", "metrics"}`.
 
 mod drive;
-mod idle;
 mod procs;
 mod summary;
 mod traced;
@@ -31,8 +30,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use summary::{
-    histogram_sum_count, host_steal_total, median, percentile, process_cpu_s, process_rss_mb,
-    ratio, result_json, Metric,
+    histogram_sum_count, median, percentile, process_cpu_s, process_rss_mb, ratio, result_json,
+    Metric,
 };
 use traced::{ReplayCounts, Tracer};
 use workload::{Kind, Reference, Stream, FRONT_CACHE_ENTRIES};
@@ -266,10 +265,14 @@ fn clip(s: &str) -> String {
     s.chars().take(200).collect()
 }
 
-/// Bring up the workload's stack `setups` times (timing each start-up),
-/// assert the last one serves the reference model, and measure one
-/// window on it. With `scrape`, every process's `stats` and `/metrics`
-/// are read at the window's first and last edge.
+/// Bring up the workload's stack `setups` times, one after another.
+/// Each start-up is timed, then checked to serve the reference model
+/// for every (device, kernel), then measured for its share of the
+/// window, then stopped: the window is spread over the whole run and
+/// over several server instances, so one slow stretch of a shared host
+/// or one unlucky instance moves a share of the slices, not all of
+/// them. With `scrape`, every process's `stats` and `/metrics` are read
+/// at each part's first and last edge.
 fn live_window(
     args: &Args,
     reference: &Reference,
@@ -279,71 +282,68 @@ fn live_window(
 ) -> Result<Live, String> {
     let kind = args.kind;
     let checks = workload::every_predict(reference, pool, kind.http());
-    let mut setup_s = Vec::new();
-    let mut stack: Option<Stack> = None;
-    for _ in 0..setups {
-        if let Some(previous) = stack.take() {
-            previous.stop()?;
-        }
-        let (started, seconds) = timed_start(args, &checks[0])?;
-        setup_s.push(seconds);
-        stack = Some(started);
-    }
-    let stack = stack.ok_or("no setup ran")?;
-    if let Some((i, got)) = first_mismatch(&stack.entry, &checks)? {
-        return Err(format!(
-            "start-up check: answer {i} differs from the in-process reference: {}",
-            clip(&got)
-        ));
-    }
     let stream = Stream::build(kind, args.seed, reference, pool);
     let warmup = match kind {
         // Fill the front cache so every measured miss also evicts.
         Kind::ColdTitanx => Warmup::Answers(FRONT_CACHE_ENTRIES as u64 + 512),
         Kind::HotRepeat | Kind::RoutedBatchHttp => Warmup::For(Duration::from_secs(1)),
     };
-    let slices = ((args.seconds / SLICE.as_secs_f64()).round() as usize).max(1);
-    let spinners = kind.spin().then(idle::Spinners::start);
-    let measured = drive::run(
-        kind,
-        &stream,
-        &stack.entry,
-        args.seed,
-        warmup,
-        SLICE,
-        slices,
-        |outer| read_edge(&stack, scrape && outer),
-    );
-    if let Some(spinners) = spinners {
-        println!(
-            "idle spinners: {} SCHED_IDLE thread(s) during the window",
-            spinners.stop()
-        );
+    let slices = args.seconds / SLICE.as_secs_f64() / setups as f64;
+    let slices = (slices.round() as usize).max(1);
+    let mut live = Live {
+        setup_s: Vec::new(),
+        parts: Vec::new(),
+    };
+    for _ in 0..setups {
+        // Dropping the stack on an early return kills its processes.
+        let (stack, seconds) = timed_start(args, &checks[0])?;
+        live.setup_s.push(seconds);
+        if let Some((i, got)) = first_mismatch(&stack.entry, &checks)? {
+            return Err(format!(
+                "start-up check: answer {i} differs from the in-process reference: {}",
+                clip(&got)
+            ));
+        }
+        let (samples, window) = drive::run(
+            kind,
+            &stream,
+            &stack.entry,
+            args.seed,
+            warmup,
+            SLICE,
+            slices,
+            |outer| read_edge(&stack, scrape && outer),
+        )?;
+        stack.stop()?;
+        live.parts.push(Part { samples, window });
     }
-    let (samples, window) = measured?;
-    stack.stop()?;
-    Ok(Live {
-        setup_s,
-        samples,
-        window,
-    })
+    Ok(live)
 }
 
-/// One live window: the timed start-ups, every answer, and the slices.
+/// The timed start-ups and the window's parts, one per start-up.
 struct Live {
     setup_s: Vec<f64>,
+    parts: Vec<Part>,
+}
+
+impl Live {
+    fn all_ok(&self) -> bool {
+        self.parts.iter().all(|p| p.samples.iter().all(|s| s.ok))
+    }
+}
+
+/// One start-up's share of the window: every answer, and the slices.
+struct Part {
     samples: Vec<Sample>,
     window: Window<Edge>,
 }
 
-/// What the servers and the host had spent at one slice edge.
+/// What the servers had spent at one slice edge.
 struct Edge {
     /// CPU seconds summed over the stack's processes.
     cpu_s: f64,
     /// Resident MB summed over the stack's processes.
     rss_mb: f64,
-    /// Host steal and total clock ticks of all CPUs (`/proc/stat`).
-    steal_total: (u64, u64),
     /// Each process's counters, when scraped.
     scrapes: Vec<Scrape>,
 }
@@ -352,7 +352,6 @@ fn read_edge(stack: &Stack, scrape_all: bool) -> Result<Edge, String> {
     let mut edge = Edge {
         cpu_s: 0.0,
         rss_mb: 0.0,
-        steal_total: host_steal_total()?,
         scrapes: Vec::new(),
     };
     for pid in stack.pids() {
@@ -367,21 +366,24 @@ fn read_edge(stack: &Stack, scrape_all: bool) -> Result<Edge, String> {
 
 /// Consecutive answers per p99 group: ten beyond the percentile.
 const P99_GROUP: usize = 1000;
+/// Where among the groups' p99s the reported p99 is read.
+const P99_GROUP_QUANTILE: f64 = 0.1;
 
 /// The end-to-end numbers of one window.
 ///
-/// The window is cut into one-second slices and the half of them with
-/// the least host CPU steal is kept: on a shared virtual machine the
-/// host's other tenants otherwise decide the figures. Rates, p50 and
-/// CPU per request are medians over the kept slices. p99 is the median
-/// over the p99s of consecutive groups of [`P99_GROUP`] answers in the
-/// kept slices: the tail a typical thousand requests see, which one
-/// multi-millisecond pause of a virtual CPU cannot move on its own.
+/// The window is cut into one-second slices. Throughput, p50 and CPU
+/// per request are medians over the slices, so a pause of a virtual
+/// CPU moves one slice, not the figure. p99 is read from the p99s of
+/// consecutive groups of [`P99_GROUP`] answers across the window, at
+/// their [`P99_GROUP_QUANTILE`]: the tail of the least disturbed
+/// stretches of the window. On a shared virtual machine the other
+/// tenants' bursts otherwise decide the tail of whole runs (measured:
+/// the median group's p99 moved 30% between runs of the same code).
 struct E2e {
     attempted: u64,
     ok: u64,
-    kept: usize,
     slices: usize,
+    groups: usize,
     throughput_rps: f64,
     p50_us: f64,
     p99_us: f64,
@@ -389,108 +391,80 @@ struct E2e {
     rss_mb: f64,
 }
 
-fn end_to_end(samples: &[Sample], window: &Window<Edge>) -> Result<E2e, String> {
-    struct Slice {
-        /// `(done_ns, latency_us)` of each answer.
-        answers: Vec<(u64, f64)>,
-        rate: f64,
-        cpu_us_per_req: f64,
-        steal: f64,
-    }
+fn end_to_end(parts: &[Part]) -> Result<E2e, String> {
     let (mut attempted, mut ok) = (0u64, 0u64);
-    let mut slices = Vec::new();
-    for (i, bounds) in window.bounds_ns.windows(2).enumerate() {
-        let inside: Vec<&Sample> = samples
-            .iter()
-            .filter(|s| s.done_ns >= bounds[0] && s.done_ns < bounds[1])
-            .collect();
-        let good = inside.iter().filter(|s| s.ok).count() as f64;
-        attempted += inside.len() as u64;
-        ok += good as u64;
-        let (e0, e1) = (&window.edges[i], &window.edges[i + 1]);
-        slices.push(Slice {
-            answers: inside
-                .iter()
-                .map(|s| (s.done_ns, s.latency_ns as f64 / 1e3))
-                .collect(),
-            rate: good / ((bounds[1] - bounds[0]) as f64 / 1e9),
-            cpu_us_per_req: ratio((e1.cpu_s - e0.cpu_s) * 1e6, good),
-            steal: ratio(
-                (e1.steal_total.0 - e0.steal_total.0) as f64,
-                (e1.steal_total.1 - e0.steal_total.1) as f64,
-            ),
-        });
-    }
-    let show = |f: &dyn Fn(&Slice) -> String| slices.iter().map(f).collect::<Vec<_>>().join(" ");
-    println!(
-        "per-slice throughput (1/s): {}",
-        show(&|s| format!("{:.0}", s.rate))
-    );
-    println!(
-        "per-slice server cpu (us/req): {}",
-        show(&|s| format!("{:.0}", s.cpu_us_per_req))
-    );
-    println!(
-        "per-slice host steal (%): {}",
-        show(&|s| format!("{:.0}", s.steal * 100.0))
-    );
-    let steal: Vec<f64> = slices.iter().map(|s| s.steal).collect();
-    let kept: Vec<&Slice> = summary::quietest_half(&steal)
-        .into_iter()
-        .map(|i| &slices[i])
-        .collect();
-    let of_kept = |f: fn(&Slice) -> f64| median(&kept.iter().map(|s| f(s)).collect::<Vec<_>>());
-    let mut p50s = Vec::new();
-    for s in &kept {
-        let mut sorted: Vec<f64> = s.answers.iter().map(|&(_, us)| us).collect();
-        sorted.sort_by(f64::total_cmp);
-        p50s.push(percentile(&sorted, 0.5).ok_or("a slice has too few answers for p50")?);
-    }
-    let mut answers: Vec<(u64, f64)> = kept
-        .iter()
-        .flat_map(|s| s.answers.iter().copied())
-        .collect();
-    answers.sort_by_key(|&(done_ns, _)| done_ns);
+    let (mut rates, mut p50s, mut cpus) = (Vec::new(), Vec::new(), Vec::new());
     let mut p99s = Vec::new();
-    for (start, end) in summary::groups(answers.len(), P99_GROUP) {
-        let mut group: Vec<f64> = answers[start..end].iter().map(|&(_, us)| us).collect();
-        group.sort_by(f64::total_cmp);
-        p99s.push(percentile(&group, 0.99).ok_or("a p99 group has too few answers")?);
+    for Part { samples, window } in parts {
+        let mut answers: Vec<(u64, f64)> = Vec::new();
+        for (i, bounds) in window.bounds_ns.windows(2).enumerate() {
+            let mut latencies = Vec::new();
+            let mut good = 0.0;
+            for s in samples
+                .iter()
+                .filter(|s| s.done_ns >= bounds[0] && s.done_ns < bounds[1])
+            {
+                latencies.push(s.latency_ns as f64 / 1e3);
+                answers.push((s.done_ns, s.latency_ns as f64 / 1e3));
+                good += f64::from(u8::from(s.ok));
+            }
+            attempted += latencies.len() as u64;
+            ok += good as u64;
+            latencies.sort_by(f64::total_cmp);
+            p50s.push(percentile(&latencies, 0.5).ok_or("a slice has too few answers for p50")?);
+            rates.push(good / ((bounds[1] - bounds[0]) as f64 / 1e9));
+            let (e0, e1) = (&window.edges[i], &window.edges[i + 1]);
+            cpus.push(ratio((e1.cpu_s - e0.cpu_s) * 1e6, good));
+        }
+        answers.sort_by_key(|&(done_ns, _)| done_ns);
+        for (start, end) in summary::groups(answers.len(), P99_GROUP) {
+            let mut group: Vec<f64> = answers[start..end].iter().map(|&(_, us)| us).collect();
+            group.sort_by(f64::total_cmp);
+            p99s.push(percentile(&group, 0.99).ok_or("a p99 group has too few answers")?);
+        }
     }
+    let show = |values: &[f64]| {
+        values
+            .iter()
+            .map(|v| format!("{v:.0}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    println!("per-slice throughput (1/s): {}", show(&rates));
+    println!("per-slice p50 (us): {}", show(&p50s));
+    println!("per-slice server cpu (us/req): {}", show(&cpus));
     if p99s.is_empty() {
         return Err(format!(
-            "{} answers in the kept slices are too few for p99",
-            answers.len()
+            "{attempted} answers in the window are too few for p99"
         ));
     }
+    let rss: Vec<f64> = parts.iter().map(|p| p.window.last().rss_mb).collect();
     Ok(E2e {
         attempted,
         ok,
-        kept: kept.len(),
-        slices: slices.len(),
-        throughput_rps: of_kept(|s| s.rate),
+        slices: rates.len(),
+        groups: p99s.len(),
+        throughput_rps: median(&rates),
         p50_us: median(&p50s),
-        p99_us: median(&p99s),
-        cpu_us_per_req: of_kept(|s| s.cpu_us_per_req),
-        rss_mb: window.last().rss_mb,
+        p99_us: summary::quantile(&p99s, P99_GROUP_QUANTILE),
+        cpu_us_per_req: median(&cpus),
+        rss_mb: median(&rss),
     })
 }
 
 fn run_untraced(args: &Args) -> Result<Report, String> {
     let (planners, pool, reference) = prepare(args, &args.kind.devices())?;
     stamp(args, &planners);
-    let Live {
-        setup_s,
-        samples,
-        window,
-    } = live_window(args, &reference, &pool, args.kind.setups(), false)?;
-    let e = end_to_end(&samples, &window)?;
-    let setup = median(&setup_s);
-    let all_ok = samples.iter().all(|s| s.ok);
-    let setups: Vec<String> = setup_s.iter().map(|s| format!("{s:.3}")).collect();
+    let live = live_window(args, &reference, &pool, args.kind.setups(), false)?;
+    let e = end_to_end(&live.parts)?;
+    let setup = median(&live.setup_s);
+    let all_ok = live.all_ok();
+    let setups: Vec<String> = live.setup_s.iter().map(|s| format!("{s:.3}")).collect();
     let per_slice = format!(
-        "median of the {} quietest of {} slices; {} answers in the window",
-        e.kept, e.slices, e.attempted
+        "median of {} slices over {} start-ups; {} answers in the window",
+        e.slices,
+        live.parts.len(),
+        e.attempted
     );
     println!(
         "setup_s               {setup:.3} s (median of [{}])",
@@ -501,7 +475,10 @@ fn run_untraced(args: &Args) -> Result<Report, String> {
         e.throughput_rps
     );
     println!("latency_p50_us        {:.1} us ({per_slice})", e.p50_us);
-    println!("latency_p99_us        {:.1} us ({per_slice})", e.p99_us);
+    println!(
+        "latency_p99_us        {:.1} us (quantile {P99_GROUP_QUANTILE} of the p99s of {} groups of {P99_GROUP} answers)",
+        e.p99_us, e.groups
+    );
     println!(
         "ok_ratio              {:.6} ({} of {})",
         ratio(e.ok as f64, e.attempted as f64),
@@ -513,7 +490,7 @@ fn run_untraced(args: &Args) -> Result<Report, String> {
         e.cpu_us_per_req
     );
     println!(
-        "server_rss_mb         {:.1} MB (at the window's end)",
+        "server_rss_mb         {:.1} MB (median over start-ups, at the end of each part)",
         e.rss_mb
     );
     let metrics = [
@@ -695,21 +672,18 @@ fn run_traced(args: &Args) -> Result<Report, String> {
     // One live window of this workload, with every process scraped at
     // both ends.
     let live_reference = reference.only(&kind.devices());
-    let Live {
-        setup_s,
-        samples,
-        window,
-    } = live_window(args, &live_reference, &pool, 1, true)?;
+    let live = live_window(args, &live_reference, &pool, 1, true)?;
+    let window = &live.parts[0].window;
     let (first, last) = (&window.first().scrapes, &window.last().scrapes);
     // Every process but the router is a daemon.
     let daemons = first.len() - usize::from(kind == Kind::RoutedBatchHttp);
     let stage_means = serve_live(&first[..daemons], &last[..daemons], &mut metrics)?;
-    let e = end_to_end(&samples, &window)?;
+    let e = end_to_end(&live.parts)?;
     println!(
         "live window ({}, untraced daemons): setup {:.3}s, {:.1} req/s, p50 {:.1} us, p99 {:.1} us, \
          {:.1} server CPU us/req",
         kind.name(),
-        setup_s[0],
+        live.setup_s[0],
         e.throughput_rps,
         e.p50_us,
         e.p99_us,
@@ -726,7 +700,7 @@ fn run_traced(args: &Args) -> Result<Report, String> {
     if kind == Kind::ColdTitanx {
         reconcile(&t, &stage_means, e.cpu_us_per_req);
     }
-    let all_ok = samples.iter().all(|s| s.ok);
+    let all_ok = live.all_ok();
     for m in &metrics {
         println!("  {:<44} {:>14.3} {}", m.name, m.value, m.unit);
     }

@@ -61,28 +61,6 @@ pub fn status_rss_kb(status: &str) -> Option<u64> {
         .ok()
 }
 
-/// `(steal, total)` clock ticks of all CPUs from the text of
-/// `/proc/stat`: the time the host ran something else while this
-/// machine's CPUs wanted to run, and all time accounted.
-pub fn stat_steal_total(stat: &str) -> Option<(u64, u64)> {
-    let line = stat.lines().find(|l| l.starts_with("cpu "))?;
-    let ticks: Vec<u64> = line
-        .split_whitespace()
-        .skip(1)
-        .map(|f| f.parse().ok())
-        .collect::<Option<_>>()?;
-    // user nice system idle iowait irq softirq steal [guest guest_nice];
-    // guest time is already counted in user and nice.
-    let steal = *ticks.get(7)?;
-    Some((steal, ticks.iter().take(8).sum()))
-}
-
-/// [`stat_steal_total`] of this machine now.
-pub fn host_steal_total() -> Result<(u64, u64), String> {
-    let text = std::fs::read_to_string("/proc/stat").map_err(|e| format!("/proc/stat: {e}"))?;
-    stat_steal_total(&text).ok_or("/proc/stat: no cpu line".to_string())
-}
-
 /// CPU seconds (user + system, every thread) used so far by `pid`.
 pub fn process_cpu_s(pid: u32) -> Result<f64, String> {
     let path = format!("/proc/{pid}/stat");
@@ -125,16 +103,6 @@ pub fn delta_mean(before: &str, after: &str, family: &str) -> Result<(f64, f64),
     let (s1, c1) = histogram_sum_count(after, family)?;
     let count = c1 - c0;
     Ok((if count > 0.0 { (s1 - s0) / count } else { 0.0 }, count))
-}
-
-/// Indices of the half of the slices (rounded up) with the least host
-/// steal, in slice order; ties keep the earlier slice.
-pub fn quietest_half(steal: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..steal.len()).collect();
-    order.sort_by(|&a, &b| steal[a].total_cmp(&steal[b]).then(a.cmp(&b)));
-    order.truncate(steal.len().div_ceil(2));
-    order.sort_unstable();
-    order
 }
 
 /// Cut `n` ordered samples into consecutive `(start, end)` groups of
@@ -234,14 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn the_quietest_half_keeps_slice_order_and_rounds_up() {
-        assert_eq!(quietest_half(&[0.3, 0.0, 0.2, 0.1, 0.5]), vec![1, 2, 3]);
-        assert_eq!(quietest_half(&[0.1, 0.1, 0.1, 0.1]), vec![0, 1]);
-        assert_eq!(quietest_half(&[0.9]), vec![0]);
-        assert!(quietest_half(&[]).is_empty());
-    }
-
-    #[test]
     fn groups_hold_enough_samples_for_their_percentile() {
         assert_eq!(groups(2500, 1000), vec![(0, 1000), (1000, 2500)]);
         assert_eq!(groups(2000, 1000), vec![(0, 1000), (1000, 2000)]);
@@ -249,22 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn proc_stat_steal_is_the_eighth_cpu_field() {
-        let stat = "cpu  300195 0 17769 348748 251 0 2405 22862 0 0\ncpu0 1 2 3 4 5 6 7 8 0 0\n";
-        assert_eq!(
-            stat_steal_total(stat),
-            Some((22862, 300195 + 17769 + 348748 + 251 + 2405 + 22862))
-        );
-        assert_eq!(stat_steal_total("cpu0 1 2 3\n"), None);
-    }
-
-    #[test]
     fn live_process_readers_see_this_process() {
         let pid = std::process::id();
         assert!(process_cpu_s(pid).unwrap() >= 0.0);
         assert!(process_rss_mb(pid).unwrap() > 0.0);
-        let (steal, total) = host_steal_total().unwrap();
-        assert!(steal <= total && total > 0);
     }
 
     fn exposition(observations: &[u64]) -> String {

@@ -13,8 +13,9 @@ use std::sync::Arc;
 pub const FAST_SETTINGS: usize = 20;
 /// Kernels in one `routed_batch_http` batch.
 pub const BATCH: usize = 8;
-/// Distinct batches the routed stream cycles through.
-pub const BATCHES: usize = 64;
+/// Distinct batches the routed stream cycles through: eight rounds of
+/// the pool cut into batches on each of the three devices.
+pub const BATCHES: usize = 72;
 /// Entries of the daemon's front cache (the `ServerConfig` default).
 pub const FRONT_CACHE_ENTRIES: usize = 4096;
 /// Client connections of every workload, each on its own thread (at
@@ -100,22 +101,14 @@ impl Kind {
     }
 
     /// Fresh start-ups timed per untraced run (`setup_s` is their
-    /// median). The routed stack trains two replicas per start-up, so it
-    /// is started once to keep the whole run within its time budget.
+    /// median; each measures its share of the window). The routed stack
+    /// trains two replicas per start-up, so it is started once to keep
+    /// the whole run within its time budget.
     pub fn setups(self) -> usize {
         match self {
             Kind::ColdTitanx | Kind::HotRepeat => 3,
             Kind::RoutedBatchHttp => 1,
         }
-    }
-
-    /// Whether idle spinners keep the CPUs awake during the window (see
-    /// `idle`): on for the workloads whose servers hand each request
-    /// between threads in a few microseconds of work, where waking a
-    /// halted CPU would dominate; off for the CPU-bound cold path, where
-    /// the spinners only compete with the scoring threads.
-    pub fn spin(self) -> bool {
-        self != Kind::ColdTitanx
     }
 
     /// Whether the entry point is the router's HTTP gateway.
@@ -333,25 +326,36 @@ impl Stream {
                 Stream::Cycle(all)
             }
             Kind::RoutedBatchHttp => {
+                // Each round cuts one seeded permutation of the pool per
+                // device into batches, so every (device, kernel) pair is
+                // sent equally often whatever the seed; the device
+                // rotates from batch to batch.
                 let mut rng = Rng::new(seed ^ 0xba7c);
-                let batches = (0..BATCHES)
-                    .map(|b| {
-                        // The device rotates from batch to batch.
-                        let d = b % reference.devices.len();
-                        let mut picks: Vec<usize> = (0..pool.len()).collect();
-                        rng.shuffle(&mut picks);
-                        picks.truncate(BATCH);
+                let devices = reference.devices.len();
+                let per_device = pool.len() / BATCH;
+                let mut batches = Vec::with_capacity(BATCHES);
+                while batches.len() < BATCHES {
+                    let orders: Vec<Vec<usize>> = (0..devices)
+                        .map(|_| {
+                            let mut order: Vec<usize> = (0..pool.len()).collect();
+                            rng.shuffle(&mut order);
+                            order
+                        })
+                        .collect();
+                    for j in 0..devices * per_device {
+                        let (d, part) = (j % devices, j / devices);
+                        let picks = &orders[d][part * BATCH..(part + 1) * BATCH];
                         let body = Request::predict_batch(
                             reference.devices[d],
                             picks.iter().map(|&k| pool[k].source.clone()).collect(),
                         )
                         .to_json();
-                        Exchange {
+                        batches.push(Exchange {
                             request: frame(&body, true),
-                            expect: Arc::from(reference.batch(d, &picks).as_str()),
-                        }
-                    })
-                    .collect();
+                            expect: Arc::from(reference.batch(d, picks).as_str()),
+                        });
+                    }
+                }
                 Stream::Cycle(batches)
             }
         }
