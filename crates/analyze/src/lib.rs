@@ -1,7 +1,7 @@
 //! `gpufreq-analyze`: in-repo static analysis for the gpufreq workspace.
 //!
 //! The repo's headline guarantees — byte-identical artifacts at any
-//! `--jobs` count, bit-for-bit batched==scalar SVR scoring, and a
+//! `--jobs` count, bit-for-bit block==row SVR scoring, and a
 //! reject-don't-block serve path — are enforced dynamically by golden
 //! tests. This crate adds the static half: a token-level Rust source
 //! scanner (built in the style of the OpenCL lexer in

@@ -8,21 +8,21 @@
 //! number instead of an assertion and a regression in either half is
 //! attributable from the bench output alone.
 //!
-//! Planners train once in setup with the test-suite preset
-//! ([`ModelConfig::relaxed`] on the fast corpus) — the scoring cost
-//! depends on the support-vector count, which the preset keeps at CI
-//! scale; paper-scale models are ~5x more vectors with the same shape.
+//! Planners train once in setup with exactly the model `gpufreq serve
+//! --fast` serves ([`ModelConfig::fast`] on the fast corpus at 20
+//! settings): the scoring cost follows the support-vector count, so
+//! this bench and the daemon's `score` span measure the same vectors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpufreq_core::{analyze_source, Corpus, ModelConfig, Planner, TrainedPlanner};
 use std::hint::black_box;
 
-/// One planner per registry device, trained at test-suite scale.
+/// One planner per registry device, trained as `serve --fast` trains.
 fn planners() -> Vec<TrainedPlanner> {
     Planner::builder()
         .corpus(Corpus::Fast)
-        .settings(8)
-        .model_config(ModelConfig::relaxed())
+        .settings(20)
+        .model_config(ModelConfig::fast())
         .train_all_devices()
         .expect("fast corpus trains on every device")
 }

@@ -839,9 +839,10 @@ pub fn generate_with_inputs(opts: &ReportOptions) -> Result<(Report, ReportInput
         engine: "deterministic index-ordered fan-out; output is byte-identical for every \
                  --jobs value"
             .to_string(),
-        scoring: "lane-parallel batched SVR sweep (ScoringPlan, runtime SIMD dispatch); \
-                  bit-identical to per-point evaluation by construction, so every number \
-                  here is independent of the scoring path"
+        scoring: "lane-parallel batched SVR sweep (ScoringPlan: primal-weight linear head, \
+                  plain-arithmetic exp for the RBF head, runtime SIMD dispatch); within \
+                  1e-12 relative of per-point evaluation, so only trailing digits depend \
+                  on the scoring path"
             .to_string(),
     };
 

@@ -270,9 +270,10 @@ impl FreqScalingModel {
     }
 
     /// Build the batched scoring form of this model: one
-    /// [`ScoringPlan`] per head with the support vectors flattened, plus
-    /// the shared scaler. Built once per trained model (cheap relative
-    /// to training, ~a vector copy per head) and then scored without
+    /// [`ScoringPlan`] per head (the linear head folded into primal
+    /// weights, the others' support vectors flattened), plus the shared
+    /// scaler. Built once per trained model (cheap relative to
+    /// training, ~a vector copy per head) and then scored without
     /// touching the serde representation again.
     pub fn scorer(&self) -> ModelScorer {
         ModelScorer {
@@ -291,13 +292,17 @@ impl FreqScalingModel {
 /// min-max scaler, evaluated through stack buffers instead of one
 /// `FeatureVector` + two `Vec` allocations per `(kernel, config)` pair.
 ///
-/// Every entry point is bit-identical to the scalar
-/// [`FreqScalingModel::predict_objectives`] path — same feature-row
-/// expressions, same scaler arithmetic, same head-selection rule
-/// (first minimal `|mem - domain|`, the order heads were trained in),
-/// same kernel-evaluation order — which is what lets the hot predict
-/// path switch to this form underneath the determinism suite and the
-/// golden report without re-blessing anything.
+/// **Error contract.** Against the scalar
+/// [`FreqScalingModel::predict_objectives`] path every objective
+/// agrees to about 1e-12 relative: the feature rows, scaler arithmetic
+/// and head-selection rule (first minimal `|mem - domain|`, the order
+/// heads were trained in) are the same, and only the per-head
+/// [`ScoringPlan`] arithmetic differs (see its error contract). Within
+/// this type the contract is exact: a row scored inside a
+/// [`score_block`](ModelScorer::score_block) has exactly the bits
+/// [`predict_prepared`](ModelScorer::predict_prepared) gives it alone,
+/// so a prediction does not depend on which candidates share its
+/// block.
 #[derive(Debug, Clone)]
 pub struct ModelScorer {
     /// `(mem_mhz, speedup plan, energy plan)` in trained-domain order.
@@ -320,7 +325,8 @@ impl ModelScorer {
     }
 
     /// Both objectives at `config` — the batched twin of
-    /// [`FreqScalingModel::predict_objectives`], bit-identical to it.
+    /// [`FreqScalingModel::predict_objectives`], within the bounded
+    /// error of the type-level contract.
     pub fn predict_objectives(&self, features: &StaticFeatures, config: FreqConfig) -> Objectives {
         self.predict_prepared(
             features,
@@ -378,8 +384,8 @@ impl ModelScorer {
     /// Score a row-major block of scaled rows (from
     /// [`write_scaled_row`]) with head `head`, filling one speedup and
     /// one energy score per row. The block rides the lane-parallel
-    /// [`ScoringPlan::score_block_into`] sweep; every row's bits match
-    /// [`predict_prepared`] on that row.
+    /// [`ScoringPlan::score_transposed_into`] sweep; every row's bits
+    /// match [`predict_prepared`] on that row.
     ///
     /// [`write_scaled_row`]: ModelScorer::write_scaled_row
     /// [`predict_prepared`]: ModelScorer::predict_prepared

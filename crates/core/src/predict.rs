@@ -224,9 +224,10 @@ fn plan_candidates(
 /// The prediction core over precomputed candidate metadata: one
 /// per-kernel invariant hoist (`memory_boundedness`), one scaled
 /// feature row per candidate, then a lane-parallel matrix sweep per
-/// memory-domain head, Algorithm 1, and the heuristic append.
-/// Bit-identical to the historical per-point scalar path (see
-/// [`ModelScorer`]).
+/// memory-domain head, Algorithm 1, and the heuristic append. Within
+/// about 1e-12 relative of the historical per-point scalar path on
+/// every objective, and exactly the bits each candidate would get
+/// scored alone (see [`ModelScorer`]).
 fn predict_planned(
     scorer: &ModelScorer,
     modeled: &[PlannedCandidate],
@@ -269,7 +270,7 @@ fn predict_planned(
     }
     // ...then one matrix sweep per memory-domain head over the rows it
     // owns (gathered in candidate order, so each candidate's score
-    // lands back in its slot with the scalar path's bits).
+    // lands back in its slot with the bits it would get scored alone).
     let mut objectives = vec![Objectives::new(0.0, 0.0); modeled.len()];
     let mut block = Vec::new();
     let (mut speedup_out, mut energy_out) = (Vec::new(), Vec::new());

@@ -138,27 +138,29 @@ impl SvrModel {
         xs.iter().map(|x| self.predict(x.as_ref())).collect()
     }
 
-    /// Build the precomputed scoring form of this model: the support
-    /// vectors flattened into one row-major matrix with their norms
-    /// cached. Build it once per model, score many candidate blocks —
-    /// see [`ScoringPlan`] for the bit-identity contract.
+    /// Build the precomputed scoring form of this model: a linear
+    /// model folded into its primal weights `w = Σ βᵢ·svᵢ`, any other
+    /// kernel's support vectors flattened into one row-major matrix.
+    /// Build it once per model, score many candidate blocks — see
+    /// [`ScoringPlan`] for the error contract.
     pub fn scoring_plan(&self) -> ScoringPlan {
         let dims = self.support_x.first().map_or(0, Vec::len);
-        let mut sv = Vec::with_capacity(self.support_x.len() * dims);
-        for row in &self.support_x {
-            debug_assert_eq!(row.len(), dims, "support vectors share one width");
-            sv.extend_from_slice(row);
+        let (mut sv, mut w) = (Vec::new(), Vec::new());
+        if self.kernel == SvmKernel::Linear {
+            w = vec![0.0; dims];
+            for (row, &b) in self.support_x.iter().zip(&self.beta) {
+                for (wj, &v) in w.iter_mut().zip(row) {
+                    *wj += b * v;
+                }
+            }
+        } else {
+            sv = self.support_x.concat();
         }
-        let sv_norms = self
-            .support_x
-            .iter()
-            .map(|row| row.iter().map(|v| v * v).sum())
-            .collect();
         ScoringPlan {
             kernel: self.kernel,
             dims,
             sv,
-            sv_norms,
+            w,
             beta: self.beta.clone(),
             bias: self.bias,
         }
@@ -209,54 +211,43 @@ pub fn train_svr(data: &Dataset, params: &SvrParams) -> SvrModel {
     }
 }
 
-/// The precomputed scoring form of an [`SvrModel`]: support vectors
-/// flattened into one row-major matrix, coefficients alongside, and
-/// the support-vector norms `‖sv‖²` cached — built once per model
-/// (via [`SvrModel::scoring_plan`]) and then scored against candidate
-/// blocks without touching the `Vec<Vec<f64>>` representation again.
+/// The precomputed scoring form of an [`SvrModel`], built once per
+/// model (via [`SvrModel::scoring_plan`]) and then scored against
+/// candidate blocks. Each kernel is scored by what varies with the row:
+/// a linear model is folded into its primal weights `w = Σ βᵢ·svᵢ`, so
+/// a row costs one dot product instead of one per support vector; the
+/// other kernels keep the support vectors as one row-major matrix, and
+/// the RBF kernel's `exp` is plain arithmetic (within 1 ulp of
+/// [`f64::exp`]) that the lane sweep vectorises.
 ///
-/// **Bit-identity contract.** [`score`](ScoringPlan::score) and
-/// [`score_block_into`](ScoringPlan::score_block_into) return exactly
-/// the bits [`SvrModel::predict`] returns: the accumulation order
-/// (`acc = bias; acc += β_i · K(sv_i, x)` in support-vector order) and
-/// the per-element kernel arithmetic are identical, only the storage
-/// is flat. This is what lets the batched prediction pipeline replace
-/// the scalar one underneath golden tests, determinism suites and
-/// byte-replay contracts without re-blessing anything.
+/// **Error contract.** Against the scalar [`SvrModel::predict`] the
+/// plan is close, not bit-identical: folding `w` reassociates the sum
+/// and the `exp` may differ by an ulp, so scores agree to 1e-12 of the
+/// sum's magnitude `|bias| + Σ|βᵢ·K|` (pinned by proptest). Between the
+/// plan's own entry points the contract is exact: row `i` of
+/// [`score_block_into`](ScoringPlan::score_block_into) has the bits of
+/// [`score`](ScoringPlan::score) on row `i`, at every block size and
+/// SIMD tier.
 ///
-/// **Where the batched speed comes from.** Bit-identity pins each
-/// candidate's *own* operation chain, but says nothing about
-/// candidates relative to each other — they are independent
-/// computations. [`score_block_into`](ScoringPlan::score_block_into)
-/// therefore transposes the candidate block to column-major and sweeps
-/// support vectors in the outer loop, accumulating every candidate's
-/// dot product (or squared distance) in lock-step: the innermost loop
-/// is a contiguous elementwise update across candidates with no
-/// cross-lane reduction, which the compiler turns into SIMD. Each
-/// lane still executes exactly the scalar chain (`0 + s₀·x₀ + s₁·x₁ +
-/// …` in feature order, then `acc += β_i · K` in support-vector
-/// order), so IEEE-754 determinism makes the lane-parallel sweep
-/// return the scalar path's bits while running several candidates per
-/// instruction.
-///
-/// **Why the RBF head is *not* evaluated via the norm expansion.**
-/// The classic batched form `‖x−sv‖² = ‖x‖² + ‖sv‖² − 2⟨x, sv⟩`
-/// (served by the cached norms) reassociates the floating-point sum —
-/// its result differs from the direct `Σ (sv_j − x_j)²` sweep in the
-/// last ulps, which would silently change every persisted prediction.
-/// The expansion is therefore offered separately as
-/// [`score_block_expanded_into`](ScoringPlan::score_block_expanded_into)
-/// for callers that can tolerate approximate scores (and for the
-/// kernels where it is exact), while the canonical entry points keep
-/// the direct sweep.
+/// **Where the batched speed comes from.** Candidates are independent,
+/// so [`score_block_into`](ScoringPlan::score_block_into) transposes
+/// the block to column-major and sweeps support vectors in the outer
+/// loop, advancing every candidate's dot product (or squared distance,
+/// then `exp`) in lock-step: the inner loops are elementwise updates
+/// across candidates with no cross-lane reduction, which the compiler
+/// turns into SIMD. Each lane still executes the single-row chain (`0 +
+/// s₀·x₀ + s₁·x₁ + …` in feature order, then `acc += βᵢ·K` in
+/// support-vector order), so IEEE-754 determinism gives it the bits of
+/// [`score`](ScoringPlan::score).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoringPlan {
     kernel: SvmKernel,
     dims: usize,
-    /// Row-major `num_support_vectors × dims` support-vector matrix.
+    /// Row-major `num_support_vectors × dims` support-vector matrix
+    /// (empty for the linear kernel, which scores through `w`).
     sv: Vec<f64>,
-    /// Cached `‖sv_i‖²`, in support-vector order.
-    sv_norms: Vec<f64>,
+    /// The linear kernel's primal weights `Σ βᵢ·svᵢ` (empty otherwise).
+    w: Vec<f64>,
     beta: Vec<f64>,
     bias: f64,
 }
@@ -273,24 +264,34 @@ impl ScoringPlan {
         self.beta.len()
     }
 
-    /// Score one row. Bit-identical to [`SvrModel::predict`].
+    /// Score one row: the bits this row gets in any block, within the
+    /// type-level error bound of [`SvrModel::predict`].
     pub fn score(&self, x: &[f64]) -> f64 {
-        let mut acc = self.bias;
         if self.dims == 0 {
-            return acc;
+            return self.bias;
         }
         debug_assert_eq!(x.len(), self.dims);
-        for (sv, &b) in self.sv.chunks_exact(self.dims).zip(&self.beta) {
-            acc += b * self.kernel.eval(sv, x);
+        let terms = self.sv.chunks_exact(self.dims).zip(&self.beta);
+        match self.kernel {
+            SvmKernel::Linear => self.bias + dot(&self.w, x),
+            SvmKernel::Rbf { gamma } => terms.fold(self.bias, |acc, (sv, &b)| {
+                acc + b * exp(-gamma * dist2(sv, x))
+            }),
+            SvmKernel::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => terms.fold(self.bias, |acc, (sv, &b)| {
+                acc + b * (gamma * dot(sv, x) + coef0).powi(degree as i32)
+            }),
         }
-        acc
     }
 
     /// Score a row-major block of `block.len() / dims` candidate rows,
     /// appending one score per row to `out` (cleared first). Each row
-    /// is bit-identical to [`SvrModel::predict`] on that row, but the
-    /// block is evaluated lane-parallel: candidates ride SIMD lanes
-    /// while every lane executes the scalar path's exact operation
+    /// has exactly the bits of [`score`](ScoringPlan::score) on that
+    /// row, but the block is evaluated lane-parallel: candidates ride
+    /// SIMD lanes while every lane executes the single-row operation
     /// chain (see the type-level docs).
     ///
     /// # Panics
@@ -373,20 +374,23 @@ impl ScoringPlan {
     /// wrappers re-vectorize it at their ISA width.
     #[inline(always)]
     fn sweep(&self, xt: &[f64], np: usize, lane: &mut [f64], out: &mut [f64]) {
+        let terms = self.sv.chunks_exact(self.dims).zip(&self.beta);
         match self.kernel {
             SvmKernel::Linear => {
-                for (sv, &b) in self.sv.chunks_exact(self.dims).zip(&self.beta) {
-                    dot_lanes(sv, xt, np, lane);
-                    for (acc, &dot) in out.iter_mut().zip(&*lane) {
-                        *acc += b * dot;
-                    }
+                dot_lanes(&self.w, xt, np, lane);
+                for (acc, &dot) in out.iter_mut().zip(&*lane) {
+                    *acc += dot;
                 }
             }
             SvmKernel::Rbf { gamma } => {
-                for (sv, &b) in self.sv.chunks_exact(self.dims).zip(&self.beta) {
+                for (sv, &b) in terms {
                     dist2_lanes(sv, xt, np, lane);
-                    for (acc, &d2) in out.iter_mut().zip(&*lane) {
-                        *acc += b * (-gamma * d2).exp();
+                    // A loop of its own, so the `exp` vectorises too.
+                    for v in lane.iter_mut() {
+                        *v = exp(-gamma * *v);
+                    }
+                    for (acc, &e) in out.iter_mut().zip(&*lane) {
+                        *acc += b * e;
                     }
                 }
             }
@@ -395,7 +399,7 @@ impl ScoringPlan {
                 coef0,
                 degree,
             } => {
-                for (sv, &b) in self.sv.chunks_exact(self.dims).zip(&self.beta) {
+                for (sv, &b) in terms {
                     dot_lanes(sv, xt, np, lane);
                     for (acc, &dot) in out.iter_mut().zip(&*lane) {
                         *acc += b * (gamma * dot + coef0).powi(degree as i32);
@@ -460,43 +464,21 @@ impl TransposedBlock {
     /// # Panics
     /// If `dims` is zero or `block.len()` is not a multiple of it.
     pub fn new(block: &[f64], dims: usize) -> TransposedBlock {
-        let mut this = TransposedBlock {
-            dims,
-            n: 0,
-            np: 0,
-            xt: Vec::new(),
-        };
-        this.fill_from(block);
-        this
-    }
-
-    /// Reload from a new row-major block, reusing the buffer.
-    ///
-    /// # Panics
-    /// If `block.len()` is not a multiple of the block's width.
-    pub fn fill_from(&mut self, block: &[f64]) {
-        assert!(self.dims > 0, "a transposed block needs a nonzero width");
+        assert!(dims > 0, "a transposed block needs a nonzero width");
         assert_eq!(
-            block.len() % self.dims,
+            block.len() % dims,
             0,
             "candidate block must be row-major with the declared width"
         );
-        let n = block.len() / self.dims;
+        let n = block.len() / dims;
         let np = n.div_ceil(LANE_BLOCK) * LANE_BLOCK;
-        self.n = n;
-        self.np = np;
-        self.xt.clear();
-        self.xt.resize(self.dims * np, 0.0);
-        for (c, row) in block.chunks_exact(self.dims).enumerate() {
+        let mut xt = vec![0.0; dims * np];
+        for (c, row) in block.chunks_exact(dims).enumerate() {
             for (j, &v) in row.iter().enumerate() {
-                self.xt[j * np + c] = v;
+                xt[j * np + c] = v;
             }
         }
-    }
-
-    /// Number of candidate rows loaded.
-    pub fn num_candidates(&self) -> usize {
-        self.n
+        TransposedBlock { dims, n, np, xt }
     }
 }
 
@@ -520,8 +502,7 @@ const LANE_BLOCK: usize = 32;
 
 /// `lane[c] = ⟨sv, x_c⟩` for every candidate column of `xt` (`np`
 /// lanes, a multiple of [`LANE_BLOCK`]), each dot accumulated in
-/// feature order exactly like the scalar kernel ([`SvmKernel::eval`]
-/// folds `Σ sv_j·x_j` from zero in `j` order).
+/// feature order exactly like [`dot`].
 #[inline(always)]
 fn dot_lanes(sv: &[f64], xt: &[f64], np: usize, lane: &mut [f64]) {
     for c in (0..np).step_by(LANE_BLOCK) {
@@ -539,8 +520,7 @@ fn dot_lanes(sv: &[f64], xt: &[f64], np: usize, lane: &mut [f64]) {
 }
 
 /// `lane[c] = ‖sv − x_c‖²` over the same padded layout as
-/// [`dot_lanes`], accumulated in feature order exactly like the scalar
-/// kernel (`Σ (sv_j − x_j)²` folded from zero in `j` order).
+/// [`dot_lanes`], accumulated in feature order exactly like [`dist2`].
 #[inline(always)]
 fn dist2_lanes(sv: &[f64], xt: &[f64], np: usize, lane: &mut [f64]) {
     for c in (0..np).step_by(LANE_BLOCK) {
@@ -558,51 +538,62 @@ fn dist2_lanes(sv: &[f64], xt: &[f64], np: usize, lane: &mut [f64]) {
     }
 }
 
-impl ScoringPlan {
-    /// Score a row-major block via the `‖x‖² + ‖sv‖² − 2⟨x, sv⟩`
-    /// expansion of the RBF distance, using the cached support-vector
-    /// norms. For the linear and polynomial kernels this is the same
-    /// dot-product sweep as [`score_block_into`](Self::score_block_into)
-    /// and bit-identical to it; for the RBF kernel the reassociated
-    /// sum agrees only to ~1 ulp per term and is **not** bit-identical
-    /// to [`SvrModel::predict`] — use it only where approximate scores
-    /// are acceptable (see the type-level docs for why the canonical
-    /// path rejects it).
-    pub fn score_block_expanded_into(&self, block: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        if self.dims == 0 {
-            return;
+/// `⟨a, b⟩` folded from zero in feature order: one lane of
+/// [`dot_lanes`].
+#[inline(always)]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |acc, (s, v)| acc + s * v)
+}
+
+/// `‖sv − x‖²` folded from zero in feature order: one lane of
+/// [`dist2_lanes`].
+#[inline(always)]
+fn dist2(sv: &[f64], x: &[f64]) -> f64 {
+    sv.iter().zip(x).fold(0.0, |acc, (s, v)| {
+        let d = s - v;
+        acc + d * d
+    })
+}
+
+/// `eˣ` in plain arithmetic with no calls and no data-dependent
+/// branches, so the lane sweeps vectorise it. Within 1 ulp of
+/// [`f64::exp`] wherever the result is a normal number; 0 below −708
+/// (where that result goes subnormal), +∞ above 710, NaN stays NaN.
+///
+/// Cody–Waite reduction `x = k·ln 2 + r`, `|r| ≤ ln 2 / 2`, with `ln 2`
+/// split so `k·LN2_HI` is exact; `eʳ` as its degree-13 Taylor
+/// polynomial in Horner form (truncation < 1e-17); and `2ᵏ` read off
+/// the `1.5·2⁵²` magic add, which leaves `k` in the low mantissa bits.
+/// The scale is built as `2ᵏ⁻¹` and the polynomial doubled first, so
+/// `k = 1024` still encodes and `k = −1021` never goes subnormal.
+#[inline(always)]
+fn exp(x: f64) -> f64 {
+    const MAGIC: f64 = 6_755_399_441_055_744.0;
+    const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    // 1/n! from n = 13 down to 0: eʳ's Taylor coefficients in Horner
+    // order (n! is exact in f64 up to 13!, so each is correctly rounded).
+    const INV_FACT: [f64; 14] = {
+        let (mut c, mut f, mut n) = ([1.0; 14], 1.0, 1);
+        while n < 14 {
+            f *= n as f64;
+            c[13 - n] = 1.0 / f;
+            n += 1;
         }
-        assert_eq!(
-            block.len() % self.dims,
-            0,
-            "candidate block must be row-major with the plan's width"
-        );
-        out.reserve(block.len() / self.dims);
-        match self.kernel {
-            SvmKernel::Rbf { gamma } => {
-                for x in block.chunks_exact(self.dims) {
-                    let x_norm: f64 = x.iter().map(|v| v * v).sum();
-                    let mut acc = self.bias;
-                    for ((sv, &b), &sv_norm) in self
-                        .sv
-                        .chunks_exact(self.dims)
-                        .zip(&self.beta)
-                        .zip(&self.sv_norms)
-                    {
-                        let dot: f64 = sv.iter().zip(x).map(|(s, v)| s * v).sum();
-                        let d2 = (x_norm + sv_norm - 2.0 * dot).max(0.0);
-                        acc += b * (-gamma * d2).exp();
-                    }
-                    out.push(acc);
-                }
-            }
-            SvmKernel::Linear | SvmKernel::Polynomial { .. } => {
-                for x in block.chunks_exact(self.dims) {
-                    out.push(self.score(x));
-                }
-            }
-        }
+        c
+    };
+    let t = x * std::f64::consts::LOG2_E + MAGIC;
+    let k = t - MAGIC;
+    let r = (x - k * LN2_HI) - k * LN2_LO;
+    let p = INV_FACT.iter().fold(0.0, |p, &c| p * r + c);
+    let scale = f64::from_bits(t.to_bits().wrapping_add(1022) << 52);
+    let y = p * 2.0 * scale;
+    if x < -708.0 {
+        0.0
+    } else if x > 710.0 {
+        f64::INFINITY
+    } else {
+        y
     }
 }
 
@@ -1055,18 +1046,21 @@ mod tests {
     }
 
     #[test]
-    fn scoring_plan_is_bit_identical_to_predict() {
+    fn scoring_plan_is_within_1e12_of_predict() {
         let mut rng = SmallRng::seed_from_u64(23);
         for model in trained_models() {
             let plan = model.scoring_plan();
             assert_eq!(plan.num_support_vectors(), model.num_support_vectors());
             for _ in 0..50 {
                 let x: Vec<f64> = (0..plan.dims()).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                assert_eq!(
-                    plan.score(&x).to_bits(),
-                    model.predict(&x).to_bits(),
-                    "plan must reproduce predict exactly"
-                );
+                // Relative to |bias| + Σ|βᵢ·K(svᵢ, x)|, the scale of
+                // predict's own rounding error.
+                let terms = model.support_x.iter().zip(&model.beta);
+                let scale = terms.fold(model.bias.abs(), |m, (sv, b)| {
+                    m + (b * model.kernel.eval(sv, &x)).abs()
+                });
+                let (got, want) = (plan.score(&x), model.predict(&x));
+                assert!((got - want).abs() <= 1e-12 * scale, "{got} vs {want}");
             }
         }
     }
@@ -1076,44 +1070,50 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(29);
         for model in trained_models() {
             let plan = model.scoring_plan();
-            let rows: Vec<Vec<f64>> = (0..13)
-                .map(|_| (0..plan.dims()).map(|_| rng.gen_range(-2.0..2.0)).collect())
-                .collect();
-            let block: Vec<f64> = rows.iter().flatten().copied().collect();
-            let mut out = Vec::new();
-            plan.score_block_into(&block, &mut out);
-            let scalar = model.predict_batch(&rows);
-            assert_eq!(out.len(), rows.len());
-            for (b, s) in out.iter().zip(&scalar) {
-                assert_eq!(b.to_bits(), s.to_bits());
+            // Both sides of SCALAR_CUTOFF and of whole lane blocks.
+            for n in [1, 11, 12, 32, 33, 71] {
+                let block: Vec<f64> = (0..n * plan.dims())
+                    .map(|_| rng.gen_range(-2.0..2.0))
+                    .collect();
+                let mut out = Vec::new();
+                plan.score_block_into(&block, &mut out);
+                assert_eq!(out.len(), n);
+                for (row, got) in block.chunks_exact(plan.dims()).zip(&out) {
+                    assert_eq!(got.to_bits(), plan.score(row).to_bits());
+                }
             }
         }
     }
 
+    /// Distance in ulps between two finite values of the same sign.
+    fn ulps(a: f64, b: f64) -> u64 {
+        (a.to_bits() as i64).abs_diff(b.to_bits() as i64)
+    }
+
     #[test]
-    fn expanded_block_is_close_but_only_linear_is_exact() {
-        let mut rng = SmallRng::seed_from_u64(31);
-        for model in trained_models() {
-            let plan = model.scoring_plan();
-            let rows: Vec<Vec<f64>> = (0..9)
-                .map(|_| (0..plan.dims()).map(|_| rng.gen_range(-2.0..2.0)).collect())
-                .collect();
-            let block: Vec<f64> = rows.iter().flatten().copied().collect();
-            let (mut direct, mut expanded) = (Vec::new(), Vec::new());
-            plan.score_block_into(&block, &mut direct);
-            plan.score_block_expanded_into(&block, &mut expanded);
-            for (d, e) in direct.iter().zip(&expanded) {
-                // Same values to ~1e-9 relative everywhere…
-                assert!((d - e).abs() <= 1e-9 * d.abs().max(1.0), "{d} vs {e}");
-            }
-            if !matches!(model.kernel(), SvmKernel::Rbf { .. }) {
-                // …and bit-exact for the non-RBF kernels, which share
-                // the canonical sweep.
-                for (d, e) in direct.iter().zip(&expanded) {
-                    assert_eq!(d.to_bits(), e.to_bits());
-                }
+    fn exp_is_within_one_ulp_of_libm() {
+        // Miri interprets every flop; a coarser grid keeps it in time.
+        let steps: u32 = if cfg!(miri) { 2_000 } else { 2_000_000 };
+        for i in 0..=steps {
+            let x = -745.0 * f64::from(i) / f64::from(steps);
+            if x < -708.0 {
+                assert_eq!(exp(x).to_bits(), 0.0f64.to_bits(), "exp({x})");
+            } else {
+                assert!(ulps(exp(x), x.exp()) <= 1, "exp({x}) = {}", exp(x));
             }
         }
+        for x in [
+            -1e-9, -1e-17, -1e-300, 1e-300, 1e-9, 0.5, 100.0, 709.0, 709.78,
+        ] {
+            assert!(ulps(exp(x), x.exp()) <= 1, "exp({x}) = {}", exp(x));
+        }
+        assert_eq!(exp(0.0).to_bits(), 1.0f64.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f64.to_bits());
+        assert_eq!(exp(f64::NEG_INFINITY).to_bits(), 0.0f64.to_bits());
+        assert_eq!(exp(f64::INFINITY), f64::INFINITY);
+        assert_eq!(exp(709.8), f64::INFINITY);
+        assert_eq!(exp(1e300), f64::INFINITY);
+        assert!(exp(f64::NAN).is_nan());
     }
 
     #[test]

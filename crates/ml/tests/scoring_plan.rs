@@ -1,27 +1,28 @@
-//! Property pin: the batched [`ScoringPlan`] is bit-for-bit identical
-//! to the scalar [`SvrModel::predict`] path it replaced.
+//! Property pin: the batched [`ScoringPlan`] stays within a bounded
+//! error of the scalar [`SvrModel::predict`] path, and its block and
+//! single-row entry points agree to the bit.
 //!
-//! The hot predict pipeline swapped its inner loop from per-point
-//! scalar evaluation to the flattened scoring plan on the promise that
-//! no persisted prediction changes — this suite holds that promise
-//! against *random* models (every kernel family, arbitrary support
-//! vectors and coefficients via [`SvrModel::from_parts`]), not just the
-//! trained models the unit tests happen to produce.
+//! The plan folds a linear model into primal weights and evaluates the
+//! RBF kernel's `exp` in plain arithmetic, so it reassociates the
+//! scalar sum; this suite bounds that drift against *random* models
+//! (every kernel family, arbitrary support vectors and coefficients
+//! via [`SvrModel::from_parts`]), not just the trained models the unit
+//! tests happen to produce.
 
 use gpufreq_ml::{SvmKernel, SvrModel};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A random model with `n_sv` support vectors of width `dims`.
-fn random_model(kernel: SvmKernel, dims: usize, n_sv: usize, seed: u64) -> SvrModel {
+/// Random model parts `(support vectors, β, bias)`: `n_sv` support
+/// vectors of width `dims`.
+fn random_parts(dims: usize, n_sv: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>, f64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let support_x: Vec<Vec<f64>> = (0..n_sv)
         .map(|_| (0..dims).map(|_| rng.gen_range(-3.0..3.0)).collect())
         .collect();
     let beta: Vec<f64> = (0..n_sv).map(|_| rng.gen_range(-2.0..2.0)).collect();
-    let bias = rng.gen_range(-1.0..1.0);
-    SvrModel::from_parts(kernel, support_x, beta, bias)
+    (support_x, beta, rng.gen_range(-1.0..1.0))
 }
 
 fn random_rows(dims: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -34,13 +35,16 @@ fn random_rows(dims: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `ScoringPlan::score` and `score_block_into` reproduce
-    /// `SvrModel::predict` to the bit on every kernel family.
+    /// `ScoringPlan::score` is within 1e-12 of `SvrModel::predict`,
+    /// relative to the magnitude of the sum (`|bias| + Σ|βᵢ·K|`), on
+    /// every kernel family; every row of `score_block_into` has exactly
+    /// the bits of `score` on that row.
     #[test]
-    fn plan_is_bitwise_identical_to_predict(
+    fn plan_is_within_bounded_error_of_predict(
         seed in 0u64..100_000,
         dims in 1usize..12,
         n_sv in 1usize..24,
+        n_rows in 1usize..40,
         gamma in 0.01f64..3.0,
         coef0 in -1.0f64..1.0,
     ) {
@@ -50,20 +54,25 @@ proptest! {
             SvmKernel::Polynomial { gamma, coef0, degree: 3 },
         ];
         for kernel in kernels {
-            let model = random_model(kernel, dims, n_sv, seed);
+            let (support_x, beta, bias) = random_parts(dims, n_sv, seed);
+            let model = SvrModel::from_parts(kernel, support_x.clone(), beta.clone(), bias);
             let plan = model.scoring_plan();
-            let rows = random_rows(dims, 8, seed ^ 0x5eed);
-            // Single-row entry point.
-            for row in &rows {
-                prop_assert_eq!(plan.score(row).to_bits(), model.predict(row).to_bits());
-            }
-            // Row-major block entry point.
+            let rows = random_rows(dims, n_rows, seed ^ 0x5eed);
             let block: Vec<f64> = rows.iter().flatten().copied().collect();
             let mut out = Vec::new();
             plan.score_block_into(&block, &mut out);
             prop_assert_eq!(out.len(), rows.len());
             for (row, got) in rows.iter().zip(&out) {
-                prop_assert_eq!(got.to_bits(), model.predict(row).to_bits());
+                let want = model.predict(row);
+                let magnitude = support_x
+                    .iter()
+                    .zip(&beta)
+                    .fold(bias.abs(), |m, (sv, b)| m + (b * kernel.eval(sv, row)).abs());
+                prop_assert!(
+                    (plan.score(row) - want).abs() <= 1e-12 * magnitude,
+                    "{:?}: {} vs {}", kernel, plan.score(row), want
+                );
+                prop_assert_eq!(got.to_bits(), plan.score(row).to_bits());
             }
         }
     }
@@ -76,7 +85,8 @@ proptest! {
         dims in 1usize..8,
         n_sv in 1usize..16,
     ) {
-        let model = random_model(SvmKernel::Rbf { gamma: 0.5 }, dims, n_sv, seed);
+        let (support_x, beta, bias) = random_parts(dims, n_sv, seed);
+        let model = SvrModel::from_parts(SvmKernel::Rbf { gamma: 0.5 }, support_x, beta, bias);
         let owned = random_rows(dims, 6, seed ^ 0xb10c);
         let borrowed: Vec<&[f64]> = owned.iter().map(Vec::as_slice).collect();
         let a = model.predict_batch(&owned);
