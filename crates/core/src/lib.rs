@@ -64,7 +64,6 @@
 
 #![deny(missing_docs)]
 
-pub mod active;
 pub mod artifact;
 pub mod crossval;
 pub mod engine;
@@ -76,7 +75,6 @@ pub mod planner;
 pub mod predict;
 pub mod report;
 
-pub use active::{refine_pareto, RefinedPoint, RefinedPrediction};
 pub use artifact::ModelArtifact;
 pub use crossval::{
     leave_one_pattern_out, leave_one_pattern_out_with, CrossValidation, FoldResult,

@@ -28,4 +28,6 @@ pub mod trace;
 
 pub use expo::{parse as parse_exposition, Exposition};
 pub use log::{TraceLog, TraceRecord};
-pub use spans::{Histogram, HistogramSnapshot, SpanRecorder, StageSet};
+pub use spans::{
+    quantile_from_counts, Histogram, HistogramSnapshot, SpanRecorder, StageSet, BUCKETS,
+};

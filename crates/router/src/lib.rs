@@ -6,7 +6,12 @@
 //! gateway, same surfaces as a daemon) and forwards every request over
 //! the **existing line protocol** — it computes no predictions and
 //! holds no models, so backends can be added, drained, and restarted
-//! behind a stable client address.
+//! behind a stable client address. Client connections go through the
+//! daemon's own connection layer, [`gpufreq_serve::conn`] (the cap and
+//! its typed refusal, socket setup, accept loops, the bounded line
+//! framer), with [`Router`] plugged in as its
+//! [`Gateway`](gpufreq_serve::http::Gateway), so both tiers answer
+//! the same wire.
 //!
 //! # Routing
 //!

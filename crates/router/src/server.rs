@@ -1,5 +1,6 @@
-//! The router core: client-facing listeners (JSON-lines + HTTP
-//! gateway), request dispatch, and response aggregation.
+//! The router core: request dispatch and response aggregation behind
+//! the client-facing listeners (JSON-lines + HTTP gateway), which run
+//! on the daemon's shared connection layer, [`gpufreq_serve::conn`].
 //!
 //! The router owns client connections and fans requests out to backend
 //! daemons over the same line protocol clients speak — it computes no
@@ -12,17 +13,18 @@
 //! backends' raw result slots so the bytes match a single-backend run
 //! exactly.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use gpufreq_obs::{trace, Exposition, Histogram, SpanRecorder, StageSet, TraceLog};
+use gpufreq_serve::conn::{self, ConnGate};
 use gpufreq_serve::http::Gateway;
-use gpufreq_serve::protocol::{ErrorBody, ErrorCode, Request, Response, ServerStats};
-use gpufreq_serve::server::{MAX_LINE_BYTES, READ_POLL};
+use gpufreq_serve::protocol::{
+    error_code_of, ErrorBody, ErrorCode, Request, Response, ServerStats,
+};
 use gpufreq_serve::{build_rev, LineClient};
 use gpufreq_sim::Device;
 
@@ -31,20 +33,10 @@ use crate::config::RouterConfig;
 use crate::route::{merge_batch, replica_for, split_batch, split_results};
 use crate::wire::{RouterCounters, RouterSnapshot};
 
-/// How long the accept loops sleep when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
 /// The router's per-stage span names, in request order: shard/replica
 /// selection, fresh backend dials, the backend exchange, and batch
 /// response splicing. Each gets a latency histogram in `/metrics`.
 pub const ROUTER_STAGE_NAMES: [&str; 4] = ["pick", "connect", "roundtrip", "merge"];
-
-/// Which protocol an accepted connection speaks.
-#[derive(Debug, Clone, Copy)]
-enum ConnKind {
-    Line,
-    Http,
-}
 
 /// Why the router could not start.
 #[derive(Debug)]
@@ -86,9 +78,9 @@ pub struct Router {
     /// `(device, replica indices into backends)`, in [`Device::all`]
     /// order; only devices with at least one replica appear.
     shards: Vec<(Device, Vec<usize>)>,
-    max_connections: usize,
     probe_interval: Duration,
-    active_connections: AtomicUsize,
+    /// The client-connection cap both listeners share.
+    conns: ConnGate,
     shutting_down: AtomicBool,
     routed: AtomicU64,
     retried: AtomicU64,
@@ -155,9 +147,8 @@ impl Router {
         Ok(Router {
             backends,
             shards,
-            max_connections: config.max_connections.max(1),
             probe_interval: config.probe_interval,
-            active_connections: AtomicUsize::new(0),
+            conns: ConnGate::new("router", config.max_connections),
             shutting_down: AtomicBool::new(false),
             routed: AtomicU64::new(0),
             retried: AtomicU64::new(0),
@@ -533,7 +524,7 @@ impl Router {
     /// (percentiles take the max — a sum of quantiles means nothing)
     /// and append the router's own section to the response object.
     fn stats_body(&self) -> String {
-        let mut total = zero_stats();
+        let mut total = ServerStats::default();
         for backend in &self.backends {
             if let Ok(response) = backend.call(&Request::Stats.to_json()) {
                 if let Ok(Response::Stats { stats }) = Response::parse(&response) {
@@ -598,8 +589,7 @@ impl Router {
         x.gauge(
             "gpufreq_connections_active",
             "Connections currently served.",
-            // ordering: see `claim_connection_slot` — a bare counter.
-            self.active_connections.load(Ordering::Relaxed) as u64,
+            self.conns.stats().active,
         );
         type BackendMetric = fn(&crate::wire::BackendSnapshot) -> u64;
         let per_backend: [(&str, &str, BackendMetric); 4] = [
@@ -699,186 +689,6 @@ impl Router {
         }
     }
 
-    /// Serve one JSON-lines connection: a manual bounded line pump.
-    /// Requests are handled sequentially, so responses are in order by
-    /// construction. An over-long line is answered with the same typed
-    /// `bad_request` the backends use, and the excess is discarded
-    /// until the next newline.
-    fn line_connection(&self, stream: TcpStream, peer: IpAddr) {
-        let setup = (|| -> io::Result<TcpStream> {
-            stream.set_nonblocking(false)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(READ_POLL))?;
-            stream.try_clone()
-        })();
-        let mut writer = match setup {
-            Ok(writer) => writer,
-            Err(e) => {
-                self.note_conn_setup_failure(&e);
-                return;
-            }
-        };
-        let mut reader = stream;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 64 * 1024];
-        let mut discarding = false;
-        loop {
-            if self.is_shutting_down() {
-                return;
-            }
-            let n = match reader.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => n,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            buf.extend_from_slice(&chunk[..n]);
-            let mut start = 0usize;
-            while let Some(pos) = buf[start..].iter().position(|&b| b == b'\n') {
-                let end = start + pos;
-                let line = &buf[start..end];
-                start = end + 1;
-                if discarding {
-                    // The tail of an over-long line (already
-                    // answered); swallow it.
-                    discarding = false;
-                    continue;
-                }
-                let response = match std::str::from_utf8(line) {
-                    Ok(text) if text.trim().is_empty() => continue,
-                    Ok(text) => self.handle_line_from(text.trim_end_matches('\r'), Some(peer)),
-                    Err(_) => {
-                        // ordering: see `snapshot` — monotonic counter.
-                        self.malformed.fetch_add(1, Ordering::Relaxed);
-                        ErrorBody::new(
-                            ErrorCode::BadRequest,
-                            "request line is not valid UTF-8".to_string(),
-                        )
-                        .into_response()
-                        .to_json()
-                    }
-                };
-                if write_line(&mut writer, &response).is_err() {
-                    return;
-                }
-            }
-            buf.drain(..start);
-            if discarding {
-                // Still inside the over-long line (already answered):
-                // drop the bytes instead of accumulating them.
-                buf.clear();
-            } else if buf.len() > MAX_LINE_BYTES {
-                buf.clear();
-                discarding = true;
-                // ordering: see `snapshot` — monotonic counter.
-                self.malformed.fetch_add(1, Ordering::Relaxed);
-                let response = ErrorBody::new(
-                    ErrorCode::BadRequest,
-                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                )
-                .into_response()
-                .to_json();
-                if write_line(&mut writer, &response).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-
-    fn note_conn_setup_failure(&self, error: &io::Error) {
-        static LOGGED: std::sync::Once = std::sync::Once::new();
-        LOGGED.call_once(|| {
-            eprintln!(
-                "[gpufreq-router] dropping connection: socket setup failed: {error} \
-                 (further occurrences not logged)"
-            );
-        });
-    }
-
-    /// Claim a slot under the connection cap (the decrement happens
-    /// when the connection thread exits).
-    fn claim_connection_slot(&self) -> bool {
-        let claim = |n: usize| (n < self.max_connections).then_some(n + 1);
-        let gate = &self.active_connections;
-        // ordering: a self-contained gate counter (same argument as
-        // the serve daemon's): no memory is published through it, and
-        // the CAS alone keeps the cap exact.
-        gate.fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
-            .is_ok()
-    }
-
-    /// Refuse a connection over the cap with a best-effort typed
-    /// `overloaded` (line or HTTP 503 by listener), never blocking the
-    /// acceptor.
-    fn refuse_connection(&self, mut stream: TcpStream, kind: ConnKind) {
-        let body = ErrorBody::new(
-            ErrorCode::Overloaded,
-            format!(
-                "connection cap reached ({} active); retry later",
-                self.max_connections
-            ),
-        )
-        .into_response()
-        .to_json();
-        let payload = match kind {
-            ConnKind::Line => format!("{body}\n"),
-            ConnKind::Http => gpufreq_serve::http::refusal_payload(&body),
-        };
-        stream.set_nonblocking(true).ok();
-        let _ = stream.write_all(payload.as_bytes());
-    }
-
-    fn dispatch_connection<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        stream: TcpStream,
-        peer: IpAddr,
-        kind: ConnKind,
-    ) {
-        if !self.claim_connection_slot() {
-            self.refuse_connection(stream, kind);
-            return;
-        }
-        scope.spawn(move || {
-            match kind {
-                ConnKind::Line => self.line_connection(stream, peer),
-                ConnKind::Http => gpufreq_serve::http::serve_http_connection(self, stream, peer),
-            }
-            // ordering: see `claim_connection_slot` — a bare counter.
-            self.active_connections.fetch_sub(1, Ordering::Relaxed);
-        });
-    }
-
-    fn accept_loop<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        listener: &TcpListener,
-        kind: ConnKind,
-    ) {
-        loop {
-            if self.is_shutting_down() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, peer)) => self.dispatch_connection(scope, stream, peer.ip(), kind),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("[gpufreq-router] accept error: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-    }
-
     /// Serve JSON-lines connections on `listener` until a `shutdown`
     /// request arrives, then return the final router snapshot. The
     /// backends are left running.
@@ -893,17 +703,9 @@ impl Router {
         listener: TcpListener,
         http: Option<TcpListener>,
     ) -> io::Result<RouterSnapshot> {
-        listener.set_nonblocking(true)?;
-        if let Some(h) = &http {
-            h.set_nonblocking(true)?;
-        }
-        std::thread::scope(|scope| {
-            scope.spawn(|| crate::health::run(self, self.probe_interval));
-            if let Some(http) = &http {
-                scope.spawn(move || self.accept_loop(scope, http, ConnKind::Http));
-            }
-            self.accept_loop(scope, &listener, ConnKind::Line);
-        });
+        conn::serve(self, listener, http, |s| {
+            s.spawn(|| crate::health::run(self, self.probe_interval));
+        })?;
         Ok(self.snapshot())
     }
 }
@@ -939,8 +741,24 @@ impl Gateway for Router {
         error.into_response().to_json()
     }
 
-    fn note_setup_failure(&self, error: &io::Error) {
-        self.note_conn_setup_failure(error);
+    fn gate(&self) -> &ConnGate {
+        &self.conns
+    }
+
+    /// Requests are answered one at a time, so responses are in order
+    /// by construction.
+    fn line_connection(&self, reader: BufReader<TcpStream>, mut writer: TcpStream, peer: IpAddr) {
+        conn::read_lines(
+            reader,
+            |_| self.is_shutting_down(),
+            |line| {
+                let response = match line {
+                    Ok(line) => self.handle_line_from(line, Some(peer)),
+                    Err(error) => self.malformed(error),
+                };
+                write_line(&mut writer, &response).is_ok()
+            },
+        );
     }
 }
 
@@ -974,63 +792,6 @@ fn discover(
         Ok(Response::Devices { devices }) => Ok(devices),
         Ok(other) => Err(format!("unexpected devices response: {}", other.to_json())),
         Err(e) => Err(format!("unparseable devices response: {e}")),
-    }
-}
-
-/// An all-zero [`ServerStats`] to accumulate backend snapshots into.
-fn zero_stats() -> ServerStats {
-    ServerStats {
-        requests: gpufreq_serve::protocol::RequestCounts {
-            total: 0,
-            predict: 0,
-            predict_batch: 0,
-            batch_kernels: 0,
-            devices: 0,
-            stats: 0,
-            metrics: 0,
-            shutdown: 0,
-            errors: 0,
-            rejected: 0,
-            reload: 0,
-            rejected_p99: 0,
-            rejected_quota: 0,
-        },
-        front_cache: zero_cache(),
-        analysis_cache: zero_cache(),
-        queue: gpufreq_serve::protocol::QueueStats {
-            depth: 0,
-            capacity: 0,
-        },
-        workers: 0,
-        latency_us: gpufreq_serve::protocol::LatencyStats {
-            count: 0,
-            p50: 0,
-            p95: 0,
-            p99: 0,
-            max: 0,
-        },
-        connections: gpufreq_serve::protocol::ConnectionStats {
-            opened: 0,
-            closed: 0,
-            refused: 0,
-            failed: 0,
-            active: 0,
-        },
-        server: gpufreq_serve::protocol::ServerInfo {
-            uptime_s: 0,
-            build: String::new(),
-            slots: Vec::new(),
-        },
-    }
-}
-
-fn zero_cache() -> gpufreq_serve::protocol::CacheStats {
-    gpufreq_serve::protocol::CacheStats {
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        len: 0,
-        capacity: 0,
     }
 }
 
@@ -1086,14 +847,6 @@ fn add_stats(total: &mut ServerStats, stats: &ServerStats) {
         .server
         .slots
         .extend(stats.server.slots.iter().cloned());
-}
-
-/// The typed error code of a serialized response body, if it is an
-/// error response (same exact-prefix check the daemon uses — bodies
-/// are trusted output of the protocol serializer).
-fn error_code_of(body: &str) -> Option<&str> {
-    let rest = body.strip_prefix("{\"error\":{\"code\":\"")?;
-    rest.split('"').next()
 }
 
 #[cfg(test)]

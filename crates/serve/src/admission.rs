@@ -23,7 +23,8 @@
 //! overloaded server must stay observable and drainable, and replays
 //! must stay byte-identical.
 
-use crate::metrics::{quantile_from_counts, Metrics};
+use crate::metrics::Metrics;
+use gpufreq_obs::quantile_from_counts;
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::{Mutex, MutexGuard};
@@ -115,7 +116,7 @@ impl Admission {
             }
         }
         if let Some(target_us) = self.config.p99_target_us {
-            if let Some(p99) = self.windowed_p99(&metrics.latency_bucket_counts()) {
+            if let Some(p99) = self.windowed_p99(&metrics.latency_snapshot().buckets) {
                 if p99 > target_us {
                     return Some(Rejection::P99);
                 }
@@ -188,7 +189,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::BUCKETS;
+    use gpufreq_obs::BUCKETS;
     use std::net::Ipv4Addr;
     use std::time::Duration;
 

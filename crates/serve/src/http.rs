@@ -17,9 +17,9 @@
 //! A `POST /predict` body is either a canonical request object
 //! (`{"op":"predict",...}`) or the same object without `"op"`
 //! (`"sources"` selects the batch form). Both listeners share one
-//! [`Server`]: the worker pool, queue, caches, metrics, admission
-//! gates, and the connection cap are common, and a `shutdown` from
-//! either side drains both.
+//! [`Server`](crate::Server): the worker pool, queue, caches, metrics,
+//! admission gates, and the connection cap are common, and a
+//! `shutdown` from either side drains both.
 //!
 //! The parser is a deliberately small hand-rolled HTTP/1.1 subset (no
 //! chunked bodies, no continuation lines) — this workspace is
@@ -27,11 +27,11 @@
 //! to the line protocol's request bound; keep-alive and pipelining
 //! work, requests on one connection are answered strictly in order.
 
-use crate::protocol::{ErrorBody, ErrorCode, Request};
-use crate::server::{Server, MAX_LINE_BYTES, READ_POLL};
+use crate::conn::{ConnGate, MAX_LINE_BYTES};
+use crate::protocol::{error_code_of, ErrorBody, ErrorCode, Request};
 use gpufreq_obs::trace;
 use serde::Value;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{IpAddr, TcpStream};
 
 /// Largest accepted HTTP head (request line + headers).
@@ -41,18 +41,20 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// echoes) a request's trace id across the HTTP surface.
 pub const TRACE_HEADER: &str = "x-gpufreq-trace";
 
-/// What the HTTP adapter needs from the process behind it. The daemon
-/// ([`Server`]) and the router front end both implement this, so one
-/// HTTP surface serves both — routes, framing, bounds, and status
-/// mapping cannot drift between them.
+/// What the shared connection layer ([`crate::conn`]) and this HTTP
+/// adapter need from the process behind them. The daemon
+/// ([`Server`](crate::Server)) and the router front end both implement
+/// this, so one connection path serves both — the cap, refusals,
+/// socket setup, line framing, routes, bounds, and status mapping
+/// cannot drift between them.
 pub trait Gateway: Sync {
     /// Execute one protocol request to its serialized response body.
     /// `trace` is the caller-supplied trace id (already validated), to
     /// be carried through the process and echoed in the body.
     fn execute(&self, request: Request, peer: IpAddr, trace: Option<&str>) -> String;
 
-    /// Whether the process is draining (healthz answers 503,
-    /// keep-alive stops being honoured).
+    /// Whether the process is draining (accept loops stop, healthz
+    /// answers 503, keep-alive stops being honoured).
     fn shutting_down(&self) -> bool;
 
     /// The Prometheus text exposition served on `GET /metrics`. Like
@@ -69,40 +71,18 @@ pub trait Gateway: Sync {
 
     /// Count and serialize a request that failed before it parsed into
     /// a protocol [`Request`] (unroutable path, wrong method, bad
-    /// body), so malformed HTTP traffic is tallied like malformed
-    /// protocol lines.
+    /// body, an oversize or non-UTF-8 line), so malformed traffic is
+    /// tallied alike on both surfaces.
     fn malformed(&self, error: ErrorBody) -> String;
 
-    /// Record a socket-setup failure on an accepted connection.
-    fn note_setup_failure(&self, error: &io::Error);
-}
+    /// The connection cap both listeners share.
+    fn gate(&self) -> &ConnGate;
 
-impl Gateway for Server {
-    fn execute(&self, request: Request, peer: IpAddr, trace: Option<&str>) -> String {
-        self.execute_direct(request, Some(peer), trace)
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.is_shutting_down()
-    }
-
-    fn exposition(&self) -> String {
-        Server::exposition(self)
-    }
-
-    fn health_body(&self) -> String {
-        // analyze:allow(panic-in-request-path, reason = "the vendored serializer is infallible; expect() documents that invariant")
-        let info = serde_json::to_string(&self.server_info()).expect("serializer is infallible");
-        format!("{{\"ok\":\"healthz\",\"server\":{info}}}")
-    }
-
-    fn malformed(&self, error: ErrorBody) -> String {
-        self.malformed_request_body(error)
-    }
-
-    fn note_setup_failure(&self, error: &io::Error) {
-        Server::note_setup_failure(self, error);
-    }
+    /// Serve one JSON-lines connection, already set up by
+    /// [`crate::conn`]: frame requests off `reader` with
+    /// [`read_lines`](crate::conn::read_lines) and answer them in
+    /// request order on `writer`.
+    fn line_connection(&self, reader: BufReader<TcpStream>, writer: TcpStream, peer: IpAddr);
 }
 
 /// The routes the gateway answers. Paths are wire literals pinned by
@@ -223,13 +203,9 @@ pub fn refusal_payload(body: &str) -> String {
 }
 
 /// Serve one accepted HTTP connection until close, keep-alive
-/// included. Called from the owning accept loop with the connection
-/// slot already claimed.
-pub fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: IpAddr) {
-    if let Err(e) = setup(&stream) {
-        gateway.note_setup_failure(&e);
-        return;
-    }
+/// included. Called by [`crate::conn`] with the connection slot
+/// claimed and the socket set up.
+pub(crate) fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: IpAddr) {
     // Bytes read past the previous request's end (pipelining).
     let mut leftover: Vec<u8> = Vec::new();
     loop {
@@ -247,15 +223,6 @@ pub fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: I
             break;
         }
     }
-}
-
-/// Mirror the line listener's socket setup (blocking + read timeout so
-/// idle connections notice a server-wide shutdown).
-fn setup(stream: &TcpStream) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_POLL))?;
-    Ok(())
 }
 
 /// Pull more bytes into `buf`. `Ok(false)` means the connection is
@@ -509,8 +476,7 @@ fn parse_body_request(body: &[u8], route: Route) -> Result<Request, ErrorBody> {
 }
 
 /// Wrap a protocol response body, deriving the status from its typed
-/// error code. Bodies are trusted server output serialized by this
-/// process, so the prefix check is exact, not a heuristic.
+/// error code.
 fn reply_from_body(body: String) -> HttpReply {
     let status = status_for(&body);
     HttpReply::json(status, body)
@@ -518,19 +484,14 @@ fn reply_from_body(body: String) -> HttpReply {
 
 /// HTTP status for a serialized protocol response body.
 fn status_for(body: &str) -> u16 {
-    let Some(rest) = body.strip_prefix("{\"error\":{\"code\":\"") else {
-        return 200;
-    };
-    let Some(end) = rest.find('"') else {
-        return 500;
-    };
-    match &rest[..end] {
-        "bad_request" => 400,
-        "unknown_device" | "device_not_served" => 404,
-        "kernel" => 422,
-        "overloaded" | "shutting_down" => 503,
+    match error_code_of(body) {
+        None => 200,
+        Some("bad_request") => 400,
+        Some("unknown_device" | "device_not_served") => 404,
+        Some("kernel") => 422,
+        Some("overloaded" | "shutting_down") => 503,
         // reload_failed, internal, and anything future-unknown.
-        _ => 500,
+        Some(_) => 500,
     }
 }
 

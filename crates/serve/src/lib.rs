@@ -19,7 +19,8 @@
 //!   full-configuration SVR scan and replays byte-identical response
 //!   bytes;
 //! * **metrics** ([`metrics::Metrics`]): request counters, cache hit
-//!   rates, queue depth, and a latency histogram with p50/p95/p99,
+//!   rates, queue depth, and a latency histogram with p50/p95/p99
+//!   (a [`gpufreq_obs::Histogram`]),
 //!   surfaced by the `stats` request and the final shutdown summary;
 //! * **deterministic responses**: the same request stream produces
 //!   byte-identical response bodies at any worker count (see
@@ -40,14 +41,17 @@
 //! # }
 //! ```
 //!
-//! Since PR 8 the daemon is a full gateway: an optional **HTTP/1.1
+//! The daemon is also a full gateway: an optional **HTTP/1.1
 //! listener** ([`http`]) shares the same server core
 //! ([`Server::serve_with_http`]), a **connection cap** refuses (with a
 //! typed error) rather than spawning unboundedly, **admission
 //! control** ([`admission`]) sheds predict load when the rolling p99
 //! crosses a target or a client exhausts its per-IP quota, and models
 //! **hot-reload** ([`reload`]) per device without dropping
-//! connections.
+//! connections. The connection plumbing — the cap and its refusal,
+//! socket setup, the accept loops, the bounded line framer — is the
+//! [`conn`] module, which the router (`gpufreq-router`) serves its
+//! clients through too, plugged in via [`http::Gateway`].
 //!
 //! The CLI front ends are `gpufreq serve` / `gpufreq client`; the load
 //! generator is the `loadgen` binary of `gpufreq-bench`.
@@ -57,6 +61,7 @@
 pub mod admission;
 pub mod cache;
 pub mod codec;
+pub mod conn;
 pub mod http;
 pub mod metrics;
 pub mod protocol;

@@ -1,22 +1,19 @@
-//! Lock-free serving metrics: request counters by kind plus a
-//! power-of-two latency histogram.
+//! Lock-free serving metrics: request counters by kind plus the
+//! whole-request latency histogram, a [`gpufreq_obs::Histogram`] with
+//! the same power-of-two buckets as the per-stage histograms.
 //!
-//! Latencies are recorded in microseconds into 40 buckets where bucket
-//! `i` covers `[2^i, 2^(i+1))` µs (bucket 0 additionally absorbs 0).
 //! Quantiles are reported as the **upper bound** of the bucket the
 //! quantile falls in — a conservative ≤2× over-approximation that
 //! needs no stored samples, no locks, and no floating point, which is
 //! all a `stats` request costs under load.
 
-use crate::protocol::{ConnectionStats, LatencyStats, RequestCounts};
+use crate::protocol::{LatencyStats, RequestCounts};
+use gpufreq_obs::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of power-of-two latency buckets.
-pub(crate) const BUCKETS: usize = 40;
 
 /// Aggregate serving metrics; all methods take `&self` and are safe to
 /// call from every worker and connection thread concurrently.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     total: AtomicU64,
     predict: AtomicU64,
@@ -31,46 +28,13 @@ pub struct Metrics {
     reload: AtomicU64,
     rejected_p99: AtomicU64,
     rejected_quota: AtomicU64,
-    conn_opened: AtomicU64,
-    conn_closed: AtomicU64,
-    conn_refused: AtomicU64,
-    conn_failed: AtomicU64,
-    latency_max_us: AtomicU64,
-    latency_sum_us: AtomicU64,
-    latency_buckets: [AtomicU64; BUCKETS],
-}
-
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics::new()
-    }
+    latency: Histogram,
 }
 
 impl Metrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Metrics {
-        Metrics {
-            total: AtomicU64::new(0),
-            predict: AtomicU64::new(0),
-            predict_batch: AtomicU64::new(0),
-            batch_kernels: AtomicU64::new(0),
-            devices: AtomicU64::new(0),
-            stats: AtomicU64::new(0),
-            metrics: AtomicU64::new(0),
-            shutdown: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            reload: AtomicU64::new(0),
-            rejected_p99: AtomicU64::new(0),
-            rejected_quota: AtomicU64::new(0),
-            conn_opened: AtomicU64::new(0),
-            conn_closed: AtomicU64::new(0),
-            conn_refused: AtomicU64::new(0),
-            conn_failed: AtomicU64::new(0),
-            latency_max_us: AtomicU64::new(0),
-            latency_sum_us: AtomicU64::new(0),
-            latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        Metrics::default()
     }
 
     /// Count one incoming protocol line (well-formed or not).
@@ -134,36 +98,10 @@ impl Metrics {
         bump(&self.rejected_quota, 1);
     }
 
-    /// Count one accepted connection (line or HTTP).
-    pub fn count_conn_opened(&self) {
-        bump(&self.conn_opened, 1);
-    }
-
-    /// Count one finished connection (its thread exited).
-    pub fn count_conn_closed(&self) {
-        bump(&self.conn_closed, 1);
-    }
-
-    /// Count one connection refused at the concurrent-connection cap.
-    pub fn count_conn_refused(&self) {
-        bump(&self.conn_refused, 1);
-    }
-
-    /// Count one connection dropped because socket setup
-    /// (`try_clone`/`set_read_timeout`) failed.
-    pub fn count_conn_failed(&self) {
-        bump(&self.conn_failed, 1);
-    }
-
     /// Record one serving latency (request read → response body
     /// ready).
     pub fn observe_us(&self, us: u64) {
-        // ordering: the running maximum is telemetry like the
-        // counters; the fetch_max RMW itself is atomic, and nothing
-        // synchronizes on its result.
-        self.latency_max_us.fetch_max(us, Ordering::Relaxed);
-        bump(&self.latency_sum_us, us);
-        bump(&self.latency_buckets[bucket_index(us)], 1);
+        self.latency.observe_us(us);
     }
 
     /// The request-counter snapshot.
@@ -185,52 +123,23 @@ impl Metrics {
         }
     }
 
-    /// The connection-counter snapshot. `active` is derived
-    /// (`opened - closed`), so a connection mid-teardown may be counted
-    /// active for an instant longer — fine for a diagnostics gauge.
-    pub fn connection_counts(&self) -> ConnectionStats {
-        let opened = read(&self.conn_opened);
-        let closed = read(&self.conn_closed);
-        ConnectionStats {
-            opened,
-            closed,
-            refused: read(&self.conn_refused),
-            failed: read(&self.conn_failed),
-            active: opened.saturating_sub(closed),
-        }
+    /// The whole-request latency histogram. The admission controller
+    /// diffs the bucket counts of two snapshots to compute a
+    /// *windowed* p99 over recent requests only.
+    pub fn latency_snapshot(&self) -> HistogramSnapshot {
+        self.latency.snapshot()
     }
 
-    /// Raw latency-histogram bucket counts — the admission controller
-    /// diffs two snapshots to compute a *windowed* p99 over recent
-    /// requests only.
-    pub fn latency_bucket_counts(&self) -> Vec<u64> {
-        self.latency_buckets.iter().map(read).collect()
-    }
-
-    /// The whole-request latency histogram as an exposition-ready
-    /// snapshot (same power-of-two bucket layout as the per-stage
-    /// histograms in `gpufreq-obs`).
-    pub fn latency_snapshot(&self) -> gpufreq_obs::HistogramSnapshot {
-        let buckets: Vec<u64> = self.latency_buckets.iter().map(read).collect();
-        gpufreq_obs::HistogramSnapshot {
-            count: buckets.iter().sum(),
-            sum_us: read(&self.latency_sum_us),
-            max_us: read(&self.latency_max_us),
-            buckets,
-        }
-    }
-
-    /// The latency-histogram snapshot (p50/p95/p99 as bucket upper
+    /// The latency-histogram summary (p50/p95/p99 as bucket upper
     /// bounds, max exact).
     pub fn latency(&self) -> LatencyStats {
-        let counts: Vec<u64> = self.latency_buckets.iter().map(read).collect();
-        let count: u64 = counts.iter().sum();
+        let h = self.latency.snapshot();
         LatencyStats {
-            count,
-            p50: quantile(&counts, count, 0.50),
-            p95: quantile(&counts, count, 0.95),
-            p99: quantile(&counts, count, 0.99),
-            max: read(&self.latency_max_us),
+            count: h.count,
+            p50: h.quantile_us(0.50),
+            p95: h.quantile_us(0.95),
+            p99: h.quantile_us(0.99),
+            max: h.max_us,
         }
     }
 }
@@ -252,55 +161,9 @@ fn read(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
-/// The histogram bucket for a latency of `us` microseconds.
-fn bucket_index(us: u64) -> usize {
-    (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1)
-}
-
-/// Upper-bound `q`-quantile over an explicit bucket-count vector (its
-/// total derived) — shared with the admission controller, which feeds
-/// it the *delta* between two histogram snapshots for a windowed p99.
-pub(crate) fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
-    quantile(counts, counts.iter().sum(), q)
-}
-
-/// Upper bound (µs) of the bucket the `q`-quantile falls in; 0 when
-/// nothing was observed.
-fn quantile(counts: &[u64], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    // The rank of the quantile observation, 1-based, clamped into range.
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bucket_upper_bound_us(i);
-        }
-    }
-    bucket_upper_bound_us(BUCKETS - 1)
-}
-
-/// Largest latency (µs) a bucket covers.
-fn bucket_upper_bound_us(index: usize) -> u64 {
-    (1u64 << (index + 1)) - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_cover_the_expected_ranges() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 1);
-        assert_eq!(bucket_index(4), 2);
-        assert_eq!(bucket_index(1024), 10);
-        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
-    }
 
     #[test]
     fn quantiles_are_bucket_upper_bounds() {

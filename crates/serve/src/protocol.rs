@@ -511,10 +511,18 @@ impl fmt::Display for ErrorBody {
     }
 }
 
+/// The typed error code of a serialized response body, if it is an
+/// error response. Bodies are trusted output of this serializer, which
+/// puts `error.code` first, so the prefix check is exact.
+pub fn error_code_of(body: &str) -> Option<&str> {
+    let rest = body.strip_prefix("{\"error\":{\"code\":\"")?;
+    rest.split('"').next()
+}
+
 /// Snapshot of the server's aggregate metrics
 /// ([`Response::Stats`]). Every field is monotonically increasing
 /// except the gauges (`queue.depth`, cache `len`s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Request counters by kind.
     pub requests: RequestCounts,
@@ -540,7 +548,7 @@ pub struct ServerStats {
 /// `/healthz` so an operator can tell at a glance which build is
 /// running, for how long, and which artifact version each device slot
 /// is serving.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerInfo {
     /// Whole seconds since the server started (monotonic clock).
     pub uptime_s: u64,
@@ -563,7 +571,7 @@ pub struct SlotInfo {
 }
 
 /// Request counters by kind; `total` counts every protocol line seen.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RequestCounts {
     /// Every request line received (including malformed ones).
     pub total: u64,
@@ -599,7 +607,7 @@ pub struct RequestCounts {
 
 /// Hit/miss/eviction counters plus the current-size gauge of one
 /// bounded cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -616,7 +624,7 @@ pub struct CacheStats {
 
 /// Connection lifecycle counters across both listeners. `active` is a
 /// gauge (`opened - closed`); everything else is monotonic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConnectionStats {
     /// Connections accepted and handed to a connection thread.
     pub opened: u64,
@@ -633,7 +641,7 @@ pub struct ConnectionStats {
 }
 
 /// Depth/capacity of the bounded request queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Jobs currently waiting for a worker.
     pub depth: usize,
@@ -645,7 +653,7 @@ pub struct QueueStats {
 /// Latency histogram summary. Quantiles are upper bounds of
 /// power-of-two buckets (see `gpufreq_serve::metrics`), so they are
 /// conservative approximations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Observations recorded.
     pub count: u64,

@@ -32,10 +32,12 @@
 
 use crate::admission::{Admission, AdmissionConfig, Rejection};
 use crate::cache::{key_hash, FrontCache};
+use crate::conn::{self, ConnGate};
+use crate::http::Gateway;
 use crate::metrics::Metrics;
 use crate::protocol::{
-    CacheStats, DeviceInfo, ErrorBody, ErrorCode, QueueStats, Request, Response, ServerInfo,
-    ServerStats, SlotInfo,
+    error_code_of, CacheStats, DeviceInfo, ErrorBody, ErrorCode, QueueStats, Request, Response,
+    ServerInfo, ServerStats, SlotInfo,
 };
 use crate::queue::{BoundedQueue, PushError, ResponseLane, Slot};
 use crate::reload::PlannerSlot;
@@ -44,26 +46,9 @@ use gpufreq_obs::{trace, Exposition, SpanRecorder, StageSet, TraceLog};
 use gpufreq_sim::Device;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::Scope;
-use std::time::{Duration, Instant};
-
-/// How often the nonblocking accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Read timeout on accepted sockets, so connection readers notice a
-/// server-wide shutdown even while their client is idle. Public so the
-/// router front end polls at the same cadence.
-pub const READ_POLL: Duration = Duration::from_millis(200);
-
-/// Requests larger than this are answered with `bad_request` instead
-/// of being parsed (a kernel source is kilobytes; a megabyte line is
-/// not a kernel). The pump discards — never buffers — bytes beyond
-/// the bound, so oversized (or newline-less) input cannot grow server
-/// memory. The HTTP gateway applies the same bound to request bodies,
-/// and the router enforces it on both its client and backend sides.
-pub const MAX_LINE_BYTES: usize = 4 << 20;
+use std::time::Instant;
 
 /// The daemon's per-stage span names, in pipeline order: admission
 /// gating, queue wait, front-cache lookup, kernel parse+analysis, SVR
@@ -90,33 +75,6 @@ fn attach_trace(body: String, trace_id: Option<&str>) -> String {
     match trace_id {
         Some(id) => trace::attach(&body, id),
         None => body,
-    }
-}
-
-/// The typed error code of a serialized response body, if it is an
-/// error response. Bodies are trusted output of this process, so the
-/// prefix check is exact (the serializer puts `error.code` first).
-fn error_code_of(body: &str) -> Option<&str> {
-    let rest = body.strip_prefix("{\"error\":{\"code\":\"")?;
-    rest.split('"').next()
-}
-
-/// The `bad_request` body for a line crossing [`MAX_LINE_BYTES`].
-fn oversize_error() -> ErrorBody {
-    ErrorBody::new(
-        ErrorCode::BadRequest,
-        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    )
-}
-
-/// Append `bytes` to the line buffer unless that would cross
-/// [`MAX_LINE_BYTES`]; past the bound the line is marked overflowed
-/// and everything further is dropped on the floor.
-fn append_bounded(buf: &mut Vec<u8>, bytes: &[u8], overflowed: &mut bool) {
-    if *overflowed || buf.len() + bytes.len() > MAX_LINE_BYTES {
-        *overflowed = true;
-    } else {
-        buf.extend_from_slice(bytes);
     }
 }
 
@@ -184,15 +142,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Which protocol an accepted socket speaks.
-#[derive(Debug, Clone, Copy)]
-enum ConnKind {
-    /// The canonical JSON-lines protocol.
-    Line,
-    /// The HTTP/1.1 gateway.
-    Http,
-}
-
 /// One queued unit of work: the parsed request, the slot its response
 /// body goes into, and when it was accepted (for the latency
 /// histogram).
@@ -230,8 +179,7 @@ pub struct Server {
     admission: Admission,
     shutting_down: AtomicBool,
     workers: usize,
-    max_connections: usize,
-    active_connections: AtomicUsize,
+    conns: ConnGate,
     started: Instant,
     stages: StageSet,
     trace_log: Option<Arc<TraceLog>>,
@@ -277,8 +225,7 @@ impl Server {
             admission: Admission::new(config.admission),
             shutting_down: AtomicBool::new(false),
             workers: config.workers.max(1),
-            max_connections: config.max_connections.max(1),
-            active_connections: AtomicUsize::new(0),
+            conns: ConnGate::new("serve", config.max_connections),
             started: Instant::now(),
             stages: StageSet::new(&STAGE_NAMES),
             trace_log: None,
@@ -320,7 +267,7 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             requests: self.metrics.request_counts(),
-            connections: self.metrics.connection_counts(),
+            connections: self.conns.stats(),
             front_cache: CacheStats {
                 hits: self.front.hits(),
                 misses: self.front.misses(),
@@ -720,15 +667,6 @@ impl Server {
         error.into_response().to_json()
     }
 
-    /// Count and serialize a request that failed before it parsed into
-    /// a protocol [`Request`] — the HTTP gateway's analogue of a
-    /// malformed protocol line (unroutable path, wrong method, bad
-    /// body), so both surfaces tally malformed traffic identically.
-    pub(crate) fn malformed_request_body(&self, error: ErrorBody) -> String {
-        self.metrics.count_line();
-        self.error_response(error)
-    }
-
     /// Execute a request to its serialized response body — the worker
     /// path: metrics are counted, predictions go through the front
     /// cache, `shutdown` flips the server into draining. Stage timings
@@ -896,79 +834,6 @@ impl Server {
         job.slot.fill(body);
     }
 
-    /// Execute one already-parsed request synchronously on the calling
-    /// thread — the HTTP gateway's entry point. Control-plane verbs
-    /// (`shutdown`, `reload`) run inline; everything else goes through
-    /// the shared queue + worker pool with the same admission and
-    /// backpressure semantics as the line protocol.
-    pub(crate) fn execute_direct(
-        &self,
-        request: Request,
-        peer: Option<IpAddr>,
-        trace_id: Option<&str>,
-    ) -> String {
-        self.metrics.count_line();
-        let accepted = Instant::now();
-        if let Request::Reload { device, path } = &request {
-            let body = self.reload_body(device, path);
-            return self.finish_inline("reload", accepted, trace_id, peer, &[], body);
-        }
-        if matches!(request, Request::Shutdown) {
-            self.metrics.count_shutdown();
-            self.initiate_shutdown();
-            let body = Response::Shutdown.to_json();
-            return self.finish_inline("shutdown", accepted, trace_id, peer, &[], body);
-        }
-        let gate = Instant::now();
-        let admission = self.admission_error(&request, peer);
-        let admission_us = gate.elapsed().as_micros() as u64;
-        if let Some(body) = admission {
-            return self.finish_inline(
-                request.op(),
-                accepted,
-                trace_id,
-                peer,
-                &[("admission", admission_us)],
-                body,
-            );
-        }
-        let slot = Arc::new(Slot::new());
-        let op = request.op();
-        let job = Job {
-            request,
-            slot: Arc::clone(&slot),
-            accepted,
-            trace: trace_id.map(str::to_string),
-            peer,
-            admission_us,
-        };
-        match self.queue.try_push(job) {
-            // The worker records latency, spans, and the trace echo
-            // when it fills the slot.
-            Ok(()) => slot.wait(),
-            Err((_, PushError::Full)) => {
-                self.metrics.count_rejected();
-                let body = ErrorBody::new(
-                    ErrorCode::Overloaded,
-                    format!(
-                        "request queue is full ({} queued); retry later",
-                        self.queue.capacity()
-                    ),
-                )
-                .into_response()
-                .to_json();
-                self.finish_inline(op, accepted, trace_id, peer, &[], body)
-            }
-            Err((_, PushError::Closed)) => {
-                let body = self.error_response(ErrorBody::new(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                ));
-                self.finish_inline(op, accepted, trace_id, peer, &[], body)
-            }
-        }
-    }
-
     /// Accept one protocol line: parse, enqueue (or answer inline),
     /// and push the response slot onto the connection's in-order lane.
     ///
@@ -994,10 +859,6 @@ impl Server {
                 self.finish_inline(op, accepted, trace_id, peer, stages, body),
             )));
         };
-        if line.len() > MAX_LINE_BYTES {
-            answer("invalid", &[], self.error_response(oversize_error()));
-            return;
-        }
         let request = match Request::parse(line) {
             Ok(request) => request,
             Err(e) => {
@@ -1092,131 +953,40 @@ impl Server {
     }
 
     /// Read protocol lines from `reader` until EOF (or, under
-    /// shutdown, until the next read timeout), feeding `lane`.
+    /// shutdown, until the next read timeout), feeding `lane`. Framing
+    /// and its bounds are [`conn::read_lines`]; oversize and non-UTF-8
+    /// lines are answered with their typed errors in request order.
     ///
-    /// Lines are assembled through a bounded buffer: once a line
-    /// crosses [`MAX_LINE_BYTES`] the rest of it is *discarded as it
-    /// streams in* (never accumulated), and the finished line is
-    /// answered with a typed `bad_request` — a newline-less firehose
-    /// cannot grow server memory. A poisoned lane (the connection's
-    /// writer died) stops the pump: answers for a dead client are
-    /// undeliverable, so reading more requests for it is pure waste.
+    /// A poisoned lane (the connection's writer died) stops the pump:
+    /// answers for a dead client are undeliverable, so reading more
+    /// requests for it is pure waste. On TCP a server-wide shutdown
+    /// stops it too, even while the client keeps streaming (the
+    /// timeout check alone never fires while data keeps arriving);
+    /// replay streams instead drain to EOF so every recorded line gets
+    /// its deterministic answer.
     fn pump<R: BufRead>(
         &self,
-        mut reader: R,
+        reader: R,
         lane: &ResponseLane,
         wait_for_space: bool,
         peer: Option<IpAddr>,
     ) {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut overflowed = false;
         let mut local_shutdown = false;
-        loop {
-            if lane.is_poisoned() {
-                // Regression guard: the writer's socket failed; without
-                // this check the reader kept parsing and enqueueing work
-                // whose responses could never be delivered.
-                break;
-            }
-            let (consumed, complete) = match reader.fill_buf() {
-                Ok([]) => {
-                    // EOF: a final unterminated line is still a request.
-                    if !buf.is_empty() || overflowed {
-                        self.finish_line(
-                            &mut buf,
-                            &mut overflowed,
-                            lane,
-                            &mut local_shutdown,
-                            wait_for_space,
-                            peer,
-                        );
+        conn::read_lines(
+            reader,
+            |timed_out| {
+                lane.is_poisoned() || ((timed_out || !wait_for_space) && self.is_shutting_down())
+            },
+            |line| {
+                match line {
+                    Ok(line) => {
+                        self.accept_line(line, lane, &mut local_shutdown, wait_for_space, peer)
                     }
-                    break;
+                    Err(error) => lane.push(Arc::new(Slot::filled(self.malformed(error)))),
                 }
-                Ok(bytes) => match bytes.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        append_bounded(&mut buf, &bytes[..pos], &mut overflowed);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        append_bounded(&mut buf, bytes, &mut overflowed);
-                        (bytes.len(), false)
-                    }
-                },
-                // A read timeout (TCP sockets poll at `READ_POLL`):
-                // keep any partial line buffered and re-check the
-                // shutdown flag.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    if self.is_shutting_down() {
-                        break;
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            };
-            reader.consume(consumed);
-            if complete {
-                self.finish_line(
-                    &mut buf,
-                    &mut overflowed,
-                    lane,
-                    &mut local_shutdown,
-                    wait_for_space,
-                    peer,
-                );
-            }
-            // TCP only: a client that keeps streaming must not pin its
-            // connection thread (and with it the daemon) open across a
-            // server-wide shutdown — the timeout arm alone never fires
-            // while data keeps arriving. Replay streams instead drain
-            // to EOF so every recorded line gets its deterministic
-            // answer.
-            if !wait_for_space && self.is_shutting_down() {
-                break;
-            }
-        }
-    }
-
-    /// One assembled line out of [`pump`](Server::pump): answer
-    /// oversize and non-UTF-8 lines with typed errors, hand everything
-    /// else to [`accept_line`](Server::accept_line). Resets the buffer
-    /// for the next line.
-    fn finish_line(
-        &self,
-        buf: &mut Vec<u8>,
-        overflowed: &mut bool,
-        lane: &ResponseLane,
-        local_shutdown: &mut bool,
-        wait_for_space: bool,
-        peer: Option<IpAddr>,
-    ) {
-        let line_bytes = std::mem::take(buf);
-        if std::mem::take(overflowed) {
-            self.metrics.count_line();
-            lane.push(Arc::new(Slot::filled(
-                self.error_response(oversize_error()),
-            )));
-            return;
-        }
-        let Ok(line) = String::from_utf8(line_bytes) else {
-            self.metrics.count_line();
-            lane.push(Arc::new(Slot::filled(self.error_response(ErrorBody::new(
-                ErrorCode::BadRequest,
-                "request line is not valid UTF-8",
-            )))));
-            return;
-        };
-        let line = line.trim();
-        if !line.is_empty() {
-            self.accept_line(line, lane, local_shutdown, wait_for_space, peer);
-        }
+                true
+            },
+        );
     }
 
     /// Serve one already-connected byte stream (stdin/stdout, a pipe,
@@ -1310,150 +1080,6 @@ impl Server {
         result
     }
 
-    /// Handle one accepted TCP connection: reader + in-order writer.
-    ///
-    /// Socket setup (`try_clone`, timeouts) can fail under fd
-    /// pressure; such connections are dropped, **counted**
-    /// (`conn_failed` in the stats), and logged once per process —
-    /// they used to vanish silently through `?`.
-    fn connection(&self, stream: TcpStream, peer: Option<IpAddr>) {
-        let setup = (|| -> io::Result<(BufReader<TcpStream>, TcpStream)> {
-            stream.set_nonblocking(false)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(READ_POLL))?;
-            let reader = BufReader::new(stream.try_clone()?);
-            Ok((reader, stream))
-        })();
-        let (reader, writer) = match setup {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.note_setup_failure(&e);
-                return;
-            }
-        };
-        let lane = ResponseLane::new();
-        std::thread::scope(|s| {
-            let lane_ref = &lane;
-            let stages = &self.stages;
-            let writer_thread = s.spawn(move || Server::write_lane(lane_ref, writer, Some(stages)));
-            // TCP: never block the shared acceptor path on a full
-            // queue — reject with `overloaded`.
-            self.pump(reader, &lane, false, peer);
-            lane.close();
-            // analyze:allow(panic-in-request-path, reason = "join() only errors if the connection writer panicked; re-raising is the faithful report")
-            let _ = writer_thread.join().expect("connection writer panicked");
-        });
-    }
-
-    /// Record a connection dropped because socket setup failed, and
-    /// log the first occurrence (one line per process, not one per
-    /// victim — fd exhaustion would otherwise spam the log).
-    pub(crate) fn note_setup_failure(&self, error: &io::Error) {
-        self.metrics.count_conn_failed();
-        static LOGGED: std::sync::Once = std::sync::Once::new();
-        LOGGED.call_once(|| {
-            eprintln!(
-                "[gpufreq-serve] dropping connection: socket setup failed: {error} \
-                 (further occurrences counted as conn_failed, not logged)"
-            );
-        });
-    }
-
-    /// Try to claim a connection slot under the cap. On success the
-    /// caller owns one decrement (performed when the connection thread
-    /// exits).
-    fn claim_connection_slot(&self) -> bool {
-        let gate = &self.active_connections;
-        let claim = |n: usize| (n < self.max_connections).then_some(n + 1);
-        // ordering: the active-connection gate is a self-contained
-        // counter — no other memory is published through it (each
-        // connection's state is created by the thread that owns it),
-        // so the RMW and the paired decrement can both be Relaxed; the
-        // fetch_update CAS alone guarantees the cap is never crossed.
-        gate.fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
-            .is_ok()
-    }
-
-    /// Refuse a connection past the cap: count it and make a
-    /// best-effort attempt to deliver a typed `overloaded` refusal
-    /// (JSON line or HTTP 503, by listener) before dropping the
-    /// socket. The write is nonblocking so a victim's socket can never
-    /// stall the shared acceptor; the payload is far below any send
-    /// buffer, so it lands whole or the peer was unreachable anyway.
-    fn refuse_connection(&self, mut stream: TcpStream, kind: ConnKind) {
-        self.metrics.count_conn_refused();
-        let body = ErrorBody::new(
-            ErrorCode::Overloaded,
-            format!(
-                "connection cap reached ({} active); retry later",
-                self.max_connections
-            ),
-        )
-        .into_response()
-        .to_json();
-        let payload = match kind {
-            ConnKind::Line => format!("{body}\n"),
-            ConnKind::Http => crate::http::refusal_payload(&body),
-        };
-        stream.set_nonblocking(true).ok();
-        let _ = stream.write_all(payload.as_bytes());
-    }
-
-    /// Gate one accepted socket through the connection cap and spawn
-    /// its handler thread into `scope`.
-    fn dispatch<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        stream: TcpStream,
-        peer: IpAddr,
-        kind: ConnKind,
-    ) {
-        if !self.claim_connection_slot() {
-            self.refuse_connection(stream, kind);
-            return;
-        }
-        self.metrics.count_conn_opened();
-        scope.spawn(move || {
-            match kind {
-                ConnKind::Line => self.connection(stream, Some(peer)),
-                ConnKind::Http => crate::http::serve_http_connection(self, stream, peer),
-            }
-            // ordering: see `claim_connection_slot` — a bare counter.
-            self.active_connections.fetch_sub(1, Ordering::Relaxed);
-            self.metrics.count_conn_closed();
-        });
-    }
-
-    /// Accept sockets from `listener` until shutdown, dispatching each
-    /// through the connection cap. Runs for both the JSON-lines
-    /// listener and the optional HTTP listener; both share the cap,
-    /// the worker pool, and the caches.
-    fn accept_loop<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        listener: &TcpListener,
-        kind: ConnKind,
-    ) {
-        loop {
-            if self.is_shutting_down() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, peer)) => self.dispatch(scope, stream, peer.ip(), kind),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // A transient accept failure must not kill the
-                    // daemon; log and keep serving.
-                    eprintln!("[gpufreq-serve] accept error: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-    }
-
     /// Serve TCP connections on `listener` until a `shutdown` request
     /// arrives, then drain and return the final metrics snapshot.
     ///
@@ -1473,23 +1099,123 @@ impl Server {
         listener: TcpListener,
         http: Option<TcpListener>,
     ) -> io::Result<ServerStats> {
-        listener.set_nonblocking(true)?;
-        if let Some(h) = &http {
-            h.set_nonblocking(true)?;
-        }
-        std::thread::scope(|s| {
+        conn::serve(self, listener, http, |s| {
             for _ in 0..self.workers {
                 s.spawn(|| self.worker_loop());
             }
-            if let Some(http) = &http {
-                s.spawn(move || self.accept_loop(s, http, ConnKind::Http));
-            }
-            self.accept_loop(s, &listener, ConnKind::Line);
-            // Shutdown: the queue is closed, workers drain and exit,
-            // connection threads notice the flag at their next read
-            // timeout; the scope joins them all.
-        });
+        })?;
         Ok(self.stats())
+    }
+}
+
+impl Gateway for Server {
+    /// Execute one already-parsed request synchronously on the calling
+    /// thread — the HTTP gateway's entry point. Control-plane verbs
+    /// (`shutdown`, `reload`) run inline; everything else goes through
+    /// the shared queue + worker pool with the same admission and
+    /// backpressure semantics as the line protocol.
+    fn execute(&self, request: Request, peer: IpAddr, trace_id: Option<&str>) -> String {
+        let peer = Some(peer);
+        self.metrics.count_line();
+        let accepted = Instant::now();
+        if let Request::Reload { device, path } = &request {
+            let body = self.reload_body(device, path);
+            return self.finish_inline("reload", accepted, trace_id, peer, &[], body);
+        }
+        if matches!(request, Request::Shutdown) {
+            self.metrics.count_shutdown();
+            self.initiate_shutdown();
+            let body = Response::Shutdown.to_json();
+            return self.finish_inline("shutdown", accepted, trace_id, peer, &[], body);
+        }
+        let gate = Instant::now();
+        let admission = self.admission_error(&request, peer);
+        let admission_us = gate.elapsed().as_micros() as u64;
+        if let Some(body) = admission {
+            return self.finish_inline(
+                request.op(),
+                accepted,
+                trace_id,
+                peer,
+                &[("admission", admission_us)],
+                body,
+            );
+        }
+        let slot = Arc::new(Slot::new());
+        let op = request.op();
+        let job = Job {
+            request,
+            slot: Arc::clone(&slot),
+            accepted,
+            trace: trace_id.map(str::to_string),
+            peer,
+            admission_us,
+        };
+        match self.queue.try_push(job) {
+            // The worker records latency, spans, and the trace echo
+            // when it fills the slot.
+            Ok(()) => slot.wait(),
+            Err((_, PushError::Full)) => {
+                self.metrics.count_rejected();
+                let body = ErrorBody::new(
+                    ErrorCode::Overloaded,
+                    format!(
+                        "request queue is full ({} queued); retry later",
+                        self.queue.capacity()
+                    ),
+                )
+                .into_response()
+                .to_json();
+                self.finish_inline(op, accepted, trace_id, peer, &[], body)
+            }
+            Err((_, PushError::Closed)) => {
+                let body = self.error_response(ErrorBody::new(
+                    ErrorCode::ShuttingDown,
+                    "server is shutting down",
+                ));
+                self.finish_inline(op, accepted, trace_id, peer, &[], body)
+            }
+        }
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.is_shutting_down()
+    }
+
+    fn exposition(&self) -> String {
+        Server::exposition(self)
+    }
+
+    fn health_body(&self) -> String {
+        // analyze:allow(panic-in-request-path, reason = "the vendored serializer is infallible; expect() documents that invariant")
+        let info = serde_json::to_string(&self.server_info()).expect("serializer is infallible");
+        format!("{{\"ok\":\"healthz\",\"server\":{info}}}")
+    }
+
+    fn malformed(&self, error: ErrorBody) -> String {
+        self.metrics.count_line();
+        self.error_response(error)
+    }
+
+    fn gate(&self) -> &ConnGate {
+        &self.conns
+    }
+
+    /// A reader pumping requests into the connection's in-order lane,
+    /// and a writer thread draining it.
+    fn line_connection(&self, reader: BufReader<TcpStream>, writer: TcpStream, peer: IpAddr) {
+        let lane = ResponseLane::new();
+        std::thread::scope(|s| {
+            let lane_ref = &lane;
+            let stages = &self.stages;
+            let writer_thread = s.spawn(move || Server::write_lane(lane_ref, writer, Some(stages)));
+            // TCP: never block the shared acceptor path on a full
+            // queue — reject with `overloaded`.
+            self.pump(reader, &lane, false, Some(peer));
+            lane.close();
+            // analyze:allow(panic-in-request-path, reason = "join() only errors if the connection writer panicked; re-raising is the faithful report")
+            let _ = writer_thread.join().expect("connection writer panicked");
+        });
     }
 }
 
@@ -1565,9 +1291,11 @@ pub fn render_stats_table(stats: &ServerStats) -> String {
 mod tests {
     use super::*;
     use crate::admission::Quota;
+    use crate::conn::MAX_LINE_BYTES;
     use gpufreq_core::{Corpus, ModelConfig, Planner};
     use std::net::Ipv4Addr;
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     const SAXPY: &str = "__kernel void saxpy(__global float* x, __global float* y, float a) {
         uint i = get_global_id(0);
@@ -1851,7 +1579,9 @@ mod tests {
         // `connection()` used to bail through `?` on try_clone /
         // set_read_timeout errors — invisible in the stats.
         let server = server(small_config());
-        server.note_setup_failure(&io::Error::other("synthetic fd-pressure failure"));
+        server
+            .conns
+            .note_setup_failure(&io::Error::other("synthetic fd-pressure failure"));
         let conns = server.stats().connections;
         assert_eq!(conns.failed, 1);
         assert_eq!(conns.opened, 0);
