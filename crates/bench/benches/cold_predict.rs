@@ -14,7 +14,9 @@
 //! this bench and the daemon's `score` span measure the same vectors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpufreq_core::{analyze_source, Corpus, ModelConfig, Planner, TrainedPlanner};
+use gpufreq_core::{analyze_source, Corpus, ModelConfig, Planner, TrainedPlanner, MEM_L_MHZ};
+use gpufreq_kernel::{memory_boundedness, NUM_FEATURES};
+use gpufreq_sim::Device;
 use std::hint::black_box;
 
 /// One planner per registry device, trained as `serve --fast` trains.
@@ -74,6 +76,43 @@ fn bench_stages(c: &mut Criterion) {
             planner,
             |b, planner| b.iter(|| planner.predict(black_box(&features)).unwrap()),
         );
+    }
+    group.finish();
+
+    // Scoring per head on the Titan X, the `ModelScorer::score_block`
+    // call that the serving benchmark's traced replay times as
+    // `ml.score_block_us.h<head>`: that head's modeled candidates, as
+    // rows written by `write_scaled_row`, in candidate order.
+    let planner = planners
+        .iter()
+        .find(|p| p.device() == Device::TitanX)
+        .expect("a Titan X planner");
+    let scorer = planner.plan().scorer();
+    let boundedness = memory_boundedness(&features);
+    let modeled: Vec<_> = planner
+        .simulator()
+        .spec()
+        .clocks
+        .actual_configs()
+        .into_iter()
+        .filter(|c| c.mem_mhz > MEM_L_MHZ)
+        .collect();
+    let mut group = c.benchmark_group("cold_predict_stage/score_block/titan-x");
+    for head in 0..scorer.num_heads() {
+        let mut block = Vec::new();
+        for config in modeled.iter().filter(|&&c| scorer.head_index(c) == head) {
+            let mut row = [0.0; NUM_FEATURES];
+            let (core, mem) = (config.core_scaled(), config.mem_scaled());
+            scorer.write_scaled_row(&features, boundedness, core, mem, &mut row);
+            block.extend_from_slice(&row);
+        }
+        if block.is_empty() {
+            continue;
+        }
+        let (mut speedup, mut energy) = (Vec::new(), Vec::new());
+        group.bench_function(BenchmarkId::from_parameter(format!("h{head}")), |b| {
+            b.iter(|| scorer.score_block(head, black_box(&block), &mut speedup, &mut energy))
+        });
     }
     group.finish();
 }

@@ -839,10 +839,12 @@ pub fn generate_with_inputs(opts: &ReportOptions) -> Result<(Report, ReportInput
         engine: "deterministic index-ordered fan-out; output is byte-identical for every \
                  --jobs value"
             .to_string(),
-        scoring: "lane-parallel batched SVR sweep (ScoringPlan: primal-weight linear head, \
-                  plain-arithmetic exp for the RBF head, runtime SIMD dispatch); within \
-                  1e-12 relative of per-point evaluation, so only trailing digits depend \
-                  on the scoring path"
+        scoring: "SVR heads scored along one line per (kernel, memory clock) \
+                  (ScoringPlan: primal-weight linear head, RBF distances expanded in the \
+                  core clock, plain-arithmetic exp, runtime SIMD dispatch); within 1e-12 \
+                  relative of per-point evaluation on the relaxed test preset (2e-11 on \
+                  the served --fast model), so only trailing digits depend on the \
+                  scoring path"
             .to_string(),
     };
 

@@ -22,8 +22,11 @@
 
 use crate::engine::Engine;
 use crate::pipeline::TrainingData;
-use gpufreq_kernel::{memory_boundedness, FeatureVector, FreqConfig, StaticFeatures, NUM_FEATURES};
-use gpufreq_ml::{train_svr, MinMaxScaler, ScoringPlan, SvrModel, SvrParams, TransposedBlock};
+use gpufreq_kernel::{
+    memory_boundedness, FeatureVector, FreqConfig, StaticFeatures, NUM_FEATURES,
+    NUM_STATIC_FEATURES,
+};
+use gpufreq_ml::{train_svr, MinMaxScaler, ScoringPlan, SvrModel, SvrParams};
 use gpufreq_pareto::Objectives;
 use serde::{Deserialize, Serialize};
 
@@ -288,17 +291,28 @@ impl FreqScalingModel {
 }
 
 /// The batched scoring form of a [`FreqScalingModel`]: per-domain
-/// [`ScoringPlan`]s over flat support-vector matrices and the shared
-/// min-max scaler, evaluated through stack buffers instead of one
-/// `FeatureVector` + two `Vec` allocations per `(kernel, config)` pair.
+/// [`ScoringPlan`]s and the shared min-max scaler, scoring a kernel's
+/// candidates along one line per memory clock.
+///
+/// At a fixed kernel and memory clock only the core clock varies, and
+/// the scaled model row is affine in it (the raw row holds `k`, `core`,
+/// `mem`, `k·core`, `k·mem`, `b`, `b·core`, `b·mem`, and the scaler has
+/// no clamp). So a run of such candidates is the line
+/// `origin + core_scaled·dir`, with the origin the scaled row at core 0
+/// and the direction the scaled `∂/∂core`, built once per run and
+/// scored by [`ScoringPlan::score_line_into`].
 ///
 /// **Error contract.** Against the scalar
-/// [`FreqScalingModel::predict_objectives`] path every objective
-/// agrees to about 1e-12 relative: the feature rows, scaler arithmetic
-/// and head-selection rule (first minimal `|mem - domain|`, the order
-/// heads were trained in) are the same, and only the per-head
-/// [`ScoringPlan`] arithmetic differs (see its error contract). Within
-/// this type the contract is exact: a row scored inside a
+/// [`FreqScalingModel::predict_objectives`] path the head-selection
+/// rule (first minimal `|mem - domain|`, the order heads were trained
+/// in) is the same; the line and the per-head [`ScoringPlan`]
+/// arithmetic reassociate the sums, so objectives differ in their
+/// trailing digits. On the test-suite models (`ModelConfig::relaxed()`)
+/// every objective is within 1e-12 relative; on the served
+/// `ModelConfig::fast()` model the worst measured is 8.2e-12 (pinned
+/// at 2e-11), and on both the Pareto sets of the workloads and the
+/// synthetic corpus are the scalar path's (`tests/batched_scalar_identity.rs`).
+/// Within this type the contract is exact: a row scored inside a
 /// [`score_block`](ModelScorer::score_block) has exactly the bits
 /// [`predict_prepared`](ModelScorer::predict_prepared) gives it alone,
 /// so a prediction does not depend on which candidates share its
@@ -308,6 +322,19 @@ pub struct ModelScorer {
     /// `(mem_mhz, speedup plan, energy plan)` in trained-domain order.
     domains: Vec<(u32, ScoringPlan, ScoringPlan)>,
     scaler: MinMaxScaler,
+}
+
+/// Where [`ModelScorer::write_scaled_row`] puts the coordinates after
+/// the static features.
+const BOUNDEDNESS: usize = NUM_STATIC_FEATURES;
+const CORE: usize = NUM_STATIC_FEATURES + 1;
+const MEM: usize = NUM_STATIC_FEATURES + 2;
+
+/// The scaled model rows of one (kernel, memory clock) as a line in
+/// `core_scaled`.
+struct Line {
+    origin: [f64; NUM_FEATURES],
+    dir: [f64; NUM_FEATURES],
 }
 
 impl ModelScorer {
@@ -337,11 +364,10 @@ impl ModelScorer {
         )
     }
 
-    /// The allocation-free core: score one `(kernel, config)` pair with
+    /// The single-candidate core: score one `(kernel, config)` pair with
     /// the per-kernel invariants (`memory_boundedness`, scaled clocks,
-    /// head index) hoisted by the caller. Batched candidate sweeps call
-    /// this once per configuration with two stack rows as the only
-    /// working state.
+    /// head index) hoisted by the caller — a one-row run of
+    /// [`score_block`](ModelScorer::score_block), with its bits.
     pub fn predict_prepared(
         &self,
         features: &StaticFeatures,
@@ -350,10 +376,12 @@ impl ModelScorer {
         mem_scaled: f64,
         head: usize,
     ) -> Objectives {
-        let mut scaled = [0.0; NUM_FEATURES];
-        self.write_scaled_row(features, boundedness, core_scaled, mem_scaled, &mut scaled);
+        let line = self.line(features, boundedness, mem_scaled);
         let (_, speedup, energy) = &self.domains[head];
-        Objectives::new(speedup.score(&scaled), energy.score(&scaled))
+        let (mut s, mut e) = ([0.0], [0.0]);
+        speedup.score_line_into(&line.origin, &line.dir, &[core_scaled], &mut s);
+        energy.score_line_into(&line.origin, &line.dir, &[core_scaled], &mut e);
+        Objectives::new(s[0], e[0])
     }
 
     /// Number of trained head pairs (memory domains).
@@ -361,12 +389,12 @@ impl ModelScorer {
         self.domains.len()
     }
 
-    /// Write the scaled model-input row for one `(kernel, config)` pair
-    /// into `out` — the exact row [`predict_prepared`] scores
-    /// (raw feature layout, then the min-max scaler), so callers can
-    /// assemble candidate blocks for [`score_block`].
+    /// Write one `(kernel, config)` pair's coordinates into `out`, for
+    /// callers assembling candidate blocks for [`score_block`]: the raw
+    /// static features, then the memory-boundedness, `core_scaled` and
+    /// `mem_scaled`, zero-padded. The row is not scaled here;
+    /// [`score_block`] scales it as part of the candidate's line.
     ///
-    /// [`predict_prepared`]: ModelScorer::predict_prepared
     /// [`score_block`]: ModelScorer::score_block
     pub fn write_scaled_row(
         &self,
@@ -376,16 +404,19 @@ impl ModelScorer {
         mem_scaled: f64,
         out: &mut [f64; NUM_FEATURES],
     ) {
-        let mut raw = [0.0; NUM_FEATURES];
-        FeatureVector::write_raw(features, core_scaled, mem_scaled, boundedness, &mut raw);
-        self.scaler.transform_into(&raw, out);
+        out.fill(0.0);
+        out[..NUM_STATIC_FEATURES].copy_from_slice(features.values());
+        out[BOUNDEDNESS] = boundedness;
+        out[CORE] = core_scaled;
+        out[MEM] = mem_scaled;
     }
 
-    /// Score a row-major block of scaled rows (from
+    /// Score a row-major block of candidate rows (from
     /// [`write_scaled_row`]) with head `head`, filling one speedup and
-    /// one energy score per row. The block rides the lane-parallel
-    /// [`ScoringPlan::score_transposed_into`] sweep; every row's bits
-    /// match [`predict_prepared`] on that row.
+    /// one energy score per row. Consecutive rows that share
+    /// bit-identical features, boundedness and `mem_scaled` form a run:
+    /// one line, built once and scored at each row's `core_scaled`.
+    /// Every row's bits match [`predict_prepared`] on that row.
     ///
     /// [`write_scaled_row`]: ModelScorer::write_scaled_row
     /// [`predict_prepared`]: ModelScorer::predict_prepared
@@ -396,23 +427,60 @@ impl ModelScorer {
         speedup_out: &mut Vec<f64>,
         energy_out: &mut Vec<f64>,
     ) {
-        let n = block.len() / NUM_FEATURES;
+        let (rows, rest) = block.as_chunks::<NUM_FEATURES>();
+        assert!(
+            rest.is_empty(),
+            "candidate block must be NUM_FEATURES-wide rows"
+        );
+        let ts: Vec<f64> = rows.iter().map(|row| row[CORE]).collect();
         let (_, speedup, energy) = &self.domains[head];
-        // Both heads consume the same candidates: transpose once, sweep
-        // twice. A head trained with zero support vectors has a width-0
-        // plan that cannot consume the block: every row scores as the
-        // bias, exactly like the scalar path.
-        let mut transposed = None;
-        for (plan, out) in [(speedup, speedup_out), (energy, energy_out)] {
-            if plan.dims() == 0 {
-                out.clear();
-                out.resize(n, plan.score(&[]));
-            } else {
-                let transposed =
-                    transposed.get_or_insert_with(|| TransposedBlock::new(block, NUM_FEATURES));
-                plan.score_transposed_into(transposed, out);
-            }
+        for out in [&mut *speedup_out, &mut *energy_out] {
+            out.clear();
+            out.resize(rows.len(), 0.0);
         }
+        let same_line = |a: &[f64; NUM_FEATURES], b: &[f64; NUM_FEATURES]| {
+            (0..NUM_FEATURES).all(|j| j == CORE || a[j].to_bits() == b[j].to_bits())
+        };
+        let mut start = 0;
+        for run in rows.chunk_by(same_line) {
+            let first = &run[0];
+            let features = StaticFeatures::from_values(
+                first[..NUM_STATIC_FEATURES]
+                    .try_into()
+                    .expect("static features"),
+            );
+            let line = self.line(&features, first[BOUNDEDNESS], first[MEM]);
+            let span = start..start + run.len();
+            for (plan, out) in [(speedup, &mut *speedup_out), (energy, &mut *energy_out)] {
+                plan.score_line_into(
+                    &line.origin,
+                    &line.dir,
+                    &ts[span.clone()],
+                    &mut out[span.clone()],
+                );
+            }
+            start = span.end;
+        }
+    }
+
+    /// The line of scaled model rows for one kernel at one memory
+    /// clock. The raw direction is the difference of the raw rows at
+    /// core 1 and core 0, which is exact: each raw entry is either
+    /// constant in the core clock or a product `c·core`.
+    fn line(&self, features: &StaticFeatures, boundedness: f64, mem_scaled: f64) -> Line {
+        let (mut at0, mut at1) = ([0.0; NUM_FEATURES], [0.0; NUM_FEATURES]);
+        FeatureVector::write_raw(features, 0.0, mem_scaled, boundedness, &mut at0);
+        FeatureVector::write_raw(features, 1.0, mem_scaled, boundedness, &mut at1);
+        let mut line = Line {
+            origin: [0.0; NUM_FEATURES],
+            dir: [0.0; NUM_FEATURES],
+        };
+        self.scaler.transform_into(&at0, &mut line.origin);
+        for (d, (a1, a0)) in line.dir.iter_mut().zip(at1.iter().zip(&at0)) {
+            *d = a1 - a0;
+        }
+        self.scaler.scale_direction(&mut line.dir);
+        line
     }
 }
 

@@ -76,9 +76,7 @@ impl ParetoPrediction {
     /// than the scoring it reports, so this is the serializer the
     /// daemon uses (pinned against the generic one by unit test).
     pub fn to_compact_json(&self) -> String {
-        // ~96 bytes per rendered point.
-        let mut out =
-            String::with_capacity(96 * (self.all_points.len() + self.pareto_set.len()) + 64);
+        let mut out = String::with_capacity(self.compact_json_capacity());
         out.push_str("{\"all_points\":");
         write_points(&self.all_points, &mut out);
         out.push_str(",\"pareto_set\":");
@@ -86,7 +84,19 @@ impl ParetoPrediction {
         out.push('}');
         out
     }
+
+    /// The buffer [`to_compact_json`](ParetoPrediction::to_compact_json)
+    /// reserves, so a prediction is written without reallocating.
+    fn compact_json_capacity(&self) -> usize {
+        POINT_BYTES * (self.all_points.len() + self.pareto_set.len()) + 64
+    }
 }
+
+/// Bytes of one rendered point with its separating comma: 84 of field
+/// names and punctuation, two clocks of up to 4 digits, two objectives
+/// of up to 20 characters (a shortest-round-trip f64 near 1), and
+/// `false`.
+const POINT_BYTES: usize = 84 + 1 + 2 * 4 + 2 * 20 + 5;
 
 fn write_points(points: &[PredictedPoint], out: &mut String) {
     if points.is_empty() {
@@ -222,12 +232,12 @@ fn plan_candidates(
 }
 
 /// The prediction core over precomputed candidate metadata: one
-/// per-kernel invariant hoist (`memory_boundedness`), one scaled
-/// feature row per candidate, then a lane-parallel matrix sweep per
-/// memory-domain head, Algorithm 1, and the heuristic append. Within
-/// about 1e-12 relative of the historical per-point scalar path on
-/// every objective, and exactly the bits each candidate would get
-/// scored alone (see [`ModelScorer`]).
+/// per-kernel invariant hoist (`memory_boundedness`), one coordinate
+/// row per candidate, then one block per memory-domain head (scored
+/// along one line per memory clock), Algorithm 1, and the heuristic
+/// append. Close to the historical per-point scalar path on every
+/// objective, and exactly the bits each candidate would get scored
+/// alone (see [`ModelScorer`] for both bounds).
 fn predict_planned(
     scorer: &ModelScorer,
     modeled: &[PlannedCandidate],
@@ -257,7 +267,7 @@ fn predict_planned(
         heuristic,
     };
     // Steps 2–8: predict both objectives for every modeled setting.
-    // One scaled model-input row per candidate, in candidate order...
+    // One coordinate row per candidate, in candidate order...
     let mut rows = vec![0.0; modeled.len() * NUM_FEATURES];
     for (c, row) in modeled.iter().zip(rows.chunks_exact_mut(NUM_FEATURES)) {
         scorer.write_scaled_row(
@@ -268,9 +278,9 @@ fn predict_planned(
             row.try_into().expect("row is NUM_FEATURES wide"),
         );
     }
-    // ...then one matrix sweep per memory-domain head over the rows it
-    // owns (gathered in candidate order, so each candidate's score
-    // lands back in its slot with the bits it would get scored alone).
+    // ...then one block per memory-domain head over the rows it owns
+    // (gathered in candidate order, so each candidate's score lands
+    // back in its slot with the bits it would get scored alone).
     let mut objectives = vec![Objectives::new(0.0, 0.0); modeled.len()];
     let mut block = Vec::new();
     let (mut speedup_out, mut energy_out) = (Vec::new(), Vec::new());
@@ -542,6 +552,26 @@ mod tests {
                 }],
             };
             assert_eq!(odd.to_compact_json(), serde_json::to_string(&odd).unwrap());
+        }
+    }
+
+    #[test]
+    fn compact_json_fits_its_reservation() {
+        let (model, _) = setup();
+        for device in gpufreq_sim::Device::all() {
+            let sim = device.simulator();
+            for w in gpufreq_workloads::all_workloads() {
+                let pred = predict_pareto(&model, &w.static_features(), &sim.spec().clocks);
+                let json = pred.to_compact_json();
+                assert!(
+                    json.len() <= pred.compact_json_capacity(),
+                    "{} on {}: {} bytes in a {}-byte reservation",
+                    w.name,
+                    device.id(),
+                    json.len(),
+                    pred.compact_json_capacity()
+                );
+            }
         }
     }
 

@@ -91,7 +91,19 @@ fn scalar_reference(
 /// `batched` has the reference's points, in order, each objective
 /// within 1e-12 relative of the reference's.
 fn assert_objectives_close(batched: &[PredictedPoint], reference: &[PredictedPoint]) {
+    assert_objectives_within(batched, reference, 1e-12);
+}
+
+/// `batched` has the reference's points, in order, each objective
+/// within `bound` relative of the reference's. Returns the worst
+/// relative error seen.
+fn assert_objectives_within(
+    batched: &[PredictedPoint],
+    reference: &[PredictedPoint],
+    bound: f64,
+) -> f64 {
     assert_eq!(batched.len(), reference.len());
+    let mut worst: f64 = 0.0;
     for (got, want) in batched.iter().zip(reference) {
         assert_eq!(got.config, want.config);
         assert_eq!(got.heuristic, want.heuristic);
@@ -100,12 +112,14 @@ fn assert_objectives_close(batched: &[PredictedPoint], reference: &[PredictedPoi
             (got.objectives.energy, want.objectives.energy),
         ] {
             assert!(
-                (g - w).abs() <= 1e-12 * w.abs(),
+                (g - w).abs() <= bound * w.abs(),
                 "{:?}: {g} vs scalar {w}",
                 got.config
             );
+            worst = worst.max((g - w).abs() / w.abs());
         }
     }
+    worst
 }
 
 /// Deterministic feature generator (SplitMix64; no RNG dependency).
@@ -156,17 +170,8 @@ proptest! {
     }
 }
 
-/// The 12 workloads and the 106 synthetic micro-benchmarks, through each
-/// device's own model: the same Pareto configurations as the scalar
-/// path, and every objective within 1e-12 relative.
-#[test]
-fn pareto_sets_match_scalar_reference_on_workloads_and_corpus() {
-    let planners = Planner::builder()
-        .corpus(Corpus::Fast)
-        .settings(8)
-        .model_config(ModelConfig::relaxed())
-        .train_all_devices()
-        .expect("fast corpus trains on every device");
+/// The 12 workloads and the 106 synthetic micro-benchmarks.
+fn workloads_and_corpus() -> Vec<(String, StaticFeatures)> {
     let kernels: Vec<(String, StaticFeatures)> = gpufreq_workloads::all_workloads()
         .into_iter()
         .map(|w| (w.name.to_string(), w.static_features()))
@@ -177,6 +182,22 @@ fn pareto_sets_match_scalar_reference_on_workloads_and_corpus() {
         )
         .collect();
     assert_eq!(kernels.len(), 12 + 106);
+    kernels
+}
+
+/// Every kernel of [`workloads_and_corpus`] through each device's own
+/// model trained with `settings` and `config`: the same Pareto
+/// configurations as the scalar path, and every objective within
+/// `bound` relative. Returns the worst relative error seen.
+fn assert_pareto_sets_match(settings: usize, config: ModelConfig, bound: f64) -> f64 {
+    let planners = Planner::builder()
+        .corpus(Corpus::Fast)
+        .settings(settings)
+        .model_config(config)
+        .train_all_devices()
+        .expect("fast corpus trains on every device");
+    let kernels = workloads_and_corpus();
+    let mut worst: f64 = 0.0;
     for planner in &planners {
         let sim = planner.device().simulator();
         let clocks = &sim.spec().clocks;
@@ -197,10 +218,36 @@ fn pareto_sets_match_scalar_reference_on_workloads_and_corpus() {
                 "{name} on {}",
                 planner.device().id()
             );
-            assert_objectives_close(&batched.all_points, &reference.all_points);
-            assert_objectives_close(&batched.pareto_set, &reference.pareto_set);
+            for (got, want) in [
+                (&batched.all_points, &reference.all_points),
+                (&batched.pareto_set, &reference.pareto_set),
+            ] {
+                worst = worst.max(assert_objectives_within(got, want, bound));
+            }
         }
     }
+    worst
+}
+
+/// The test-suite models (`ModelConfig::relaxed()`, 8 settings): the
+/// same Pareto configurations as the scalar path, and every objective
+/// within 1e-12 relative.
+#[test]
+fn pareto_sets_match_scalar_reference_on_workloads_and_corpus() {
+    assert_pareto_sets_match(8, ModelConfig::relaxed(), 1e-12);
+}
+
+/// The model `gpufreq serve --fast` serves (`ModelConfig::fast()`, 20
+/// settings): the same Pareto configurations as the scalar path. Its
+/// larger `C` leaves larger coefficients that cancel in the sums, so
+/// reassociating them moves trailing digits further than on the
+/// test-suite models: the worst objective measured 8.2e-12 relative
+/// (a speedup, from the primal-folded linear head), pinned here at
+/// 2e-11.
+#[test]
+fn served_model_pareto_sets_match_scalar_reference() {
+    let worst = assert_pareto_sets_match(20, ModelConfig::fast(), 2e-11);
+    eprintln!("served model: worst relative objective error {worst:e}");
 }
 
 /// Every kernel family: row `i` of `ModelScorer::score_block` has
@@ -262,5 +309,71 @@ fn assert_block_rows_match(
             assert_eq!(speedup[i].to_bits(), single.speedup.to_bits(), "{c:?}");
             assert_eq!(energy[i].to_bits(), single.energy.to_bits(), "{c:?}");
         }
+    }
+}
+
+/// One head's block holding rows of two kernels at two memory clocks,
+/// interleaved so that neighbouring rows share the kernel but not the
+/// memory clock, or the memory clock but not the kernel, or both: each
+/// row still has exactly the bits `predict_prepared` gives it alone, so
+/// a run never spans rows that lie on different lines.
+#[test]
+fn interleaved_block_rows_are_bit_identical_to_predict_prepared() {
+    let scorer = model().scorer();
+    let sim = Device::TitanX.simulator();
+    let clocks = &sim.spec().clocks;
+    let kernels = [random_features(11), random_features(12)];
+    let mems = [3505, 3304];
+    let head = scorer.head_index(FreqConfig::new(mems[0], 1001));
+    let cores: Vec<u32> = clocks
+        .actual_configs_for(mems[0])
+        .iter()
+        .map(|c| c.core_mhz)
+        .collect();
+    // (kernel, memory clock) per row: runs of one, two and three rows.
+    let pattern = [
+        (0, 0),
+        (0, 0),
+        (0, 1),
+        (1, 1),
+        (1, 0),
+        (1, 0),
+        (1, 0),
+        (0, 1),
+    ];
+    let rows: Vec<(usize, FreqConfig)> = cores
+        .iter()
+        .zip(pattern.iter().cycle())
+        .map(|(&core, &(k, m))| (k, FreqConfig::new(mems[m], core)))
+        .collect();
+    let mut block = vec![0.0; rows.len() * NUM_FEATURES];
+    for (&(k, c), row) in rows.iter().zip(block.chunks_exact_mut(NUM_FEATURES)) {
+        let features = &kernels[k];
+        let row = row.try_into().expect("row is NUM_FEATURES wide");
+        let boundedness = memory_boundedness(features);
+        scorer.write_scaled_row(features, boundedness, c.core_scaled(), c.mem_scaled(), row);
+    }
+    let (mut speedup, mut energy) = (Vec::new(), Vec::new());
+    scorer.score_block(head, &block, &mut speedup, &mut energy);
+    assert_eq!(speedup.len(), rows.len());
+    for (i, &(k, c)) in rows.iter().enumerate() {
+        let features = &kernels[k];
+        let single = scorer.predict_prepared(
+            features,
+            memory_boundedness(features),
+            c.core_scaled(),
+            c.mem_scaled(),
+            head,
+        );
+        assert_eq!(
+            speedup[i].to_bits(),
+            single.speedup.to_bits(),
+            "row {i}: {c:?}"
+        );
+        assert_eq!(
+            energy[i].to_bits(),
+            single.energy.to_bits(),
+            "row {i}: {c:?}"
+        );
     }
 }

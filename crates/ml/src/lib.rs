@@ -48,4 +48,4 @@ pub use linear::{solve_linear_system, train_ols, train_ridge, LinearModel};
 pub use metrics::{mae, percent_errors, r2, rmse, rmse_percent, BoxStats};
 pub use poly::{expand, train_poly, PolyModel};
 pub use scale::MinMaxScaler;
-pub use svr::{train_svr, ScoringPlan, SvrModel, SvrParams, TransposedBlock};
+pub use svr::{train_svr, ScoringPlan, SvrModel, SvrParams};

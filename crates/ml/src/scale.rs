@@ -78,6 +78,24 @@ impl MinMaxScaler {
         }
     }
 
+    /// The linear part of [`MinMaxScaler::transform`], in place: a raw
+    /// displacement `d` becomes `d / (hi − lo)` per dimension (constant
+    /// dimensions pass through, as in `transform`), so
+    /// `transform(x + t·d) = transform(x) + t·d'` up to rounding — a
+    /// line in raw feature space is a line after scaling.
+    ///
+    /// # Panics
+    /// If `dir` width differs from [`MinMaxScaler::dims`].
+    pub fn scale_direction(&self, dir: &mut [f64]) {
+        assert_eq!(dir.len(), self.dims());
+        for (j, v) in dir.iter_mut().enumerate() {
+            let range = self.hi[j] - self.lo[j];
+            if range != 0.0 {
+                *v /= range;
+            }
+        }
+    }
+
     /// Invert [`MinMaxScaler::transform`].
     pub fn inverse(&self, row: &[f64]) -> Vec<f64> {
         assert_eq!(row.len(), self.dims());
@@ -140,6 +158,18 @@ mod tests {
             for (a, b) in r.iter().zip(back) {
                 assert!((a - b).abs() < 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn scaled_direction_maps_lines_to_lines() {
+        let s = MinMaxScaler::fit(&[vec![1.0, 5.0, 2.0], vec![3.0, 5.0, 10.0]]);
+        let (x, mut d) = ([2.0, 5.0, 4.0], [1.0, -2.0, 0.5]);
+        let moved = s.transform(&[2.0 + 3.0, 5.0 - 6.0, 4.0 + 1.5]);
+        let origin = s.transform(&x);
+        s.scale_direction(&mut d);
+        for ((m, o), d) in moved.iter().zip(&origin).zip(&d) {
+            assert!((m - (o + 3.0 * d)).abs() < 1e-12, "{m} vs {o} + 3·{d}");
         }
     }
 

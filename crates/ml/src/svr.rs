@@ -140,8 +140,8 @@ impl SvrModel {
 
     /// Build the precomputed scoring form of this model: a linear
     /// model folded into its primal weights `w = Σ βᵢ·svᵢ`, any other
-    /// kernel's support vectors flattened into one row-major matrix.
-    /// Build it once per model, score many candidate blocks — see
+    /// kernel's support vectors flattened into one feature-major matrix.
+    /// Build it once per model, score many candidate lines — see
     /// [`ScoringPlan`] for the error contract.
     pub fn scoring_plan(&self) -> ScoringPlan {
         let dims = self.support_x.first().map_or(0, Vec::len);
@@ -154,7 +154,13 @@ impl SvrModel {
                 }
             }
         } else {
-            sv = self.support_x.concat();
+            let n = self.support_x.len();
+            sv = vec![0.0; dims * n];
+            for (i, row) in self.support_x.iter().enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    sv[j * n + i] = v;
+                }
+            }
         }
         ScoringPlan {
             kernel: self.kernel,
@@ -212,38 +218,37 @@ pub fn train_svr(data: &Dataset, params: &SvrParams) -> SvrModel {
 }
 
 /// The precomputed scoring form of an [`SvrModel`], built once per
-/// model (via [`SvrModel::scoring_plan`]) and then scored against
-/// candidate blocks. Each kernel is scored by what varies with the row:
-/// a linear model is folded into its primal weights `w = Σ βᵢ·svᵢ`, so
-/// a row costs one dot product instead of one per support vector; the
-/// other kernels keep the support vectors as one row-major matrix, and
-/// the RBF kernel's `exp` is plain arithmetic (within 1 ulp of
-/// [`f64::exp`]) that the lane sweep vectorises.
+/// model (via [`SvrModel::scoring_plan`]) and then scored along lines
+/// of candidates `x(t) = origin + t·dir`. Each kernel is scored by what
+/// varies: a linear model is folded into its primal weights
+/// `w = Σ βᵢ·svᵢ`, and every term that does not depend on `t` is
+/// computed once per line instead of once per candidate.
 ///
-/// **Error contract.** Against the scalar [`SvrModel::predict`] the
-/// plan is close, not bit-identical: folding `w` reassociates the sum
-/// and the `exp` may differ by an ulp, so scores agree to 1e-12 of the
-/// sum's magnitude `|bias| + Σ|βᵢ·K|` (pinned by proptest). Between the
-/// plan's own entry points the contract is exact: row `i` of
-/// [`score_block_into`](ScoringPlan::score_block_into) has the bits of
-/// [`score`](ScoringPlan::score) on row `i`, at every block size and
-/// SIMD tier.
+/// **Error contract.** Against the scalar [`SvrModel::predict`] at
+/// `origin + t·dir` the plan is close, not bit-identical: folding `w`
+/// and expanding `‖sv − x(t)‖²` in `t` reassociate the sums and the
+/// `exp` may differ by an ulp, so for `t` in the scaled-clock range
+/// `[0, 1]` scores agree to 1e-12 of the sum's magnitude
+/// `|bias| + Σ|βᵢ·K|` (pinned by proptest). Between the plan's own
+/// calls the contract is exact: lane `k` of
+/// [`score_line_into`](ScoringPlan::score_line_into) has the bits of the
+/// same line scored with `ts = [ts[k]]`, at every line length and SIMD
+/// tier.
 ///
-/// **Where the batched speed comes from.** Candidates are independent,
-/// so [`score_block_into`](ScoringPlan::score_block_into) transposes
-/// the block to column-major and sweeps support vectors in the outer
-/// loop, advancing every candidate's dot product (or squared distance,
-/// then `exp`) in lock-step: the inner loops are elementwise updates
-/// across candidates with no cross-lane reduction, which the compiler
-/// turns into SIMD. Each lane still executes the single-row chain (`0 +
-/// s₀·x₀ + s₁·x₁ + …` in feature order, then `acc += βᵢ·K` in
-/// support-vector order), so IEEE-754 determinism gives it the bits of
-/// [`score`](ScoringPlan::score).
+/// **Where the speed comes from.** Per line the plan computes
+/// `R = ‖dir‖²`, and per support vector `Pᵢ = ‖svᵢ − origin‖²` and
+/// `Qᵢ = ⟨svᵢ − origin, dir⟩`; a candidate then costs
+/// `exp(−γ·(Pᵢ + t·(t·R − 2Qᵢ)))` — a handful of flops and the `exp` —
+/// instead of a full-width squared distance. Support vectors sweep in
+/// the outer loop and the candidates `ts` in the inner one, every lane
+/// running the same elementwise chain with no cross-lane reduction,
+/// which the compiler turns into SIMD, the `exp` included (runtime
+/// AVX-512F/AVX2 dispatch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoringPlan {
     kernel: SvmKernel,
     dims: usize,
-    /// Row-major `num_support_vectors × dims` support-vector matrix
+    /// Feature-major `dims × num_support_vectors` support-vector matrix
     /// (empty for the linear kernel, which scores through `w`).
     sv: Vec<f64>,
     /// The linear kernel's primal weights `Σ βᵢ·svᵢ` (empty otherwise).
@@ -264,149 +269,116 @@ impl ScoringPlan {
         self.beta.len()
     }
 
-    /// Score one row: the bits this row gets in any block, within the
-    /// type-level error bound of [`SvrModel::predict`].
+    /// Score one point: the line through `x` with `dir = 0`, at `t = 0`.
     pub fn score(&self, x: &[f64]) -> f64 {
-        if self.dims == 0 {
-            return self.bias;
-        }
-        debug_assert_eq!(x.len(), self.dims);
-        let terms = self.sv.chunks_exact(self.dims).zip(&self.beta);
-        match self.kernel {
-            SvmKernel::Linear => self.bias + dot(&self.w, x),
-            SvmKernel::Rbf { gamma } => terms.fold(self.bias, |acc, (sv, &b)| {
-                acc + b * exp(-gamma * dist2(sv, x))
-            }),
-            SvmKernel::Polynomial {
-                gamma,
-                coef0,
-                degree,
-            } => terms.fold(self.bias, |acc, (sv, &b)| {
-                acc + b * (gamma * dot(sv, x) + coef0).powi(degree as i32)
-            }),
-        }
+        let mut out = [0.0];
+        self.score_line_into(x, &vec![0.0; x.len()], &[0.0], &mut out);
+        out[0]
     }
 
-    /// Score a row-major block of `block.len() / dims` candidate rows,
-    /// appending one score per row to `out` (cleared first). Each row
-    /// has exactly the bits of [`score`](ScoringPlan::score) on that
-    /// row, but the block is evaluated lane-parallel: candidates ride
-    /// SIMD lanes while every lane executes the single-row operation
-    /// chain (see the type-level docs).
+    /// Score the points `origin + t·dir`, one per `t` in `ts`, into the
+    /// same slot of `out`. Each lane has exactly the bits of the same
+    /// line scored with that `t` alone (see the type-level docs). A plan
+    /// with no support vectors scores every point as its bias, whatever
+    /// the line's width.
     ///
     /// # Panics
-    /// If `block.len()` is not a multiple of [`dims`](ScoringPlan::dims).
-    pub fn score_block_into(&self, block: &[f64], out: &mut Vec<f64>) {
-        out.clear();
+    /// If `out` and `ts` differ in length, or `origin` or `dir` is not
+    /// [`dims`](ScoringPlan::dims) wide.
+    pub fn score_line_into(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), ts.len(), "one output slot per point");
         if self.dims == 0 {
+            out.fill(self.bias);
             return;
         }
-        assert_eq!(
-            block.len() % self.dims,
-            0,
-            "candidate block must be row-major with the plan's width"
+        assert!(
+            origin.len() == self.dims && dir.len() == self.dims,
+            "the line must have the plan's width"
         );
-        self.score_transposed_into(&TransposedBlock::new(block, self.dims), out);
-    }
-
-    /// [`score_block_into`](ScoringPlan::score_block_into) over a block
-    /// that is already in the transposed layout — callers scoring the
-    /// same candidates against several same-width plans (a device
-    /// head's speedup and energy models, say) transpose once and score
-    /// many times.
-    ///
-    /// # Panics
-    /// If the block's width differs from [`dims`](ScoringPlan::dims).
-    pub fn score_transposed_into(&self, block: &TransposedBlock, out: &mut Vec<f64>) {
-        out.clear();
-        if self.dims == 0 {
-            return;
-        }
-        assert_eq!(
-            block.dims, self.dims,
-            "transposed block width must match the plan"
-        );
-        let (n, np) = (block.n, block.np);
-        out.resize(n, self.bias);
-        if n == 0 {
-            return;
-        }
-        // Tiny blocks lose more to lane padding than they gain from
-        // the sweep: score their rows directly (same canonical
-        // arithmetic, so the choice of path can never change a bit).
-        if n < SCALAR_CUTOFF {
-            let mut row = vec![0.0; self.dims];
-            for (c, acc) in out.iter_mut().enumerate() {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = block.xt[j * np + c];
-                }
-                *acc = self.score(&row);
-            }
-            return;
-        }
-        // Per-candidate partial (dot product or squared distance) for
-        // the support vector currently being swept.
-        let mut lane = vec![0.0; np];
         // The sweep is compiled once per SIMD tier; per-lane IEEE-754
         // mul/add/sub round identically at every width (and Rust never
         // contracts to FMA), so wider registers change throughput, not
         // bits.
         // Miri interprets MIR and does not implement vendor SIMD
-        // intrinsics; under it the scalar body below is the whole
+        // intrinsics; under it the plain sweep below is the whole
         // story, which is exactly the path worth checking for UB.
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: reached only when the CPU reports AVX-512F.
-                return unsafe { self.sweep_avx512(&block.xt, np, &mut lane, out) };
+                return unsafe { self.sweep_avx512(origin, dir, ts, out) };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: reached only when the CPU reports AVX2.
-                return unsafe { self.sweep_avx2(&block.xt, np, &mut lane, out) };
+                return unsafe { self.sweep_avx2(origin, dir, ts, out) };
             }
         }
-        self.sweep(&block.xt, np, &mut lane, out);
+        self.sweep(origin, dir, ts, out);
     }
 
-    /// The lane-parallel sweep body over a transposed, padded block
-    /// (`np` lanes, a multiple of [`LANE_BLOCK`]; `out.len()` real
-    /// candidates). Marked `inline(always)` so the `target_feature`
-    /// wrappers re-vectorize it at their ISA width.
+    /// The line sweep body. Marked `inline(always)` so the
+    /// `target_feature` wrappers re-vectorize it at their ISA width.
     #[inline(always)]
-    fn sweep(&self, xt: &[f64], np: usize, lane: &mut [f64], out: &mut [f64]) {
-        let terms = self.sv.chunks_exact(self.dims).zip(&self.beta);
-        match self.kernel {
+    fn sweep(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
+        let (rbf, gamma, coef0, degree) = match self.kernel {
             SvmKernel::Linear => {
-                dot_lanes(&self.w, xt, np, lane);
-                for (acc, &dot) in out.iter_mut().zip(&*lane) {
-                    *acc += dot;
+                let (at0, slope) = (self.bias + dot(&self.w, origin), dot(&self.w, dir));
+                for (acc, &t) in out.iter_mut().zip(ts) {
+                    *acc = at0 + t * slope;
                 }
+                return;
             }
-            SvmKernel::Rbf { gamma } => {
-                for (sv, &b) in terms {
-                    dist2_lanes(sv, xt, np, lane);
-                    // A loop of its own, so the `exp` vectorises too.
-                    for v in lane.iter_mut() {
-                        *v = exp(-gamma * *v);
-                    }
-                    for (acc, &e) in out.iter_mut().zip(&*lane) {
-                        *acc += b * e;
-                    }
-                }
-            }
+            SvmKernel::Rbf { gamma } => (true, gamma, 0.0, 0),
             SvmKernel::Polynomial {
                 gamma,
                 coef0,
                 degree,
-            } => {
-                for (sv, &b) in terms {
-                    dot_lanes(sv, xt, np, lane);
-                    for (acc, &dot) in out.iter_mut().zip(&*lane) {
-                        *acc += b * (gamma * dot + coef0).powi(degree as i32);
-                    }
+            } => (false, gamma, coef0, degree as i32),
+        };
+        // The line's two terms per support vector, folded in feature
+        // order with all support vectors in lock-step over the
+        // feature-major matrix: RBF `P = ‖sv − o‖²` and `Q = ⟨sv − o, d⟩`,
+        // polynomial `⟨sv, o⟩` and `⟨sv, d⟩`.
+        let n = self.beta.len();
+        let (mut at0, mut slope) = (vec![0.0; n], vec![0.0; n]);
+        for ((col, &o), &d) in self.sv.chunks_exact(n).zip(origin).zip(dir) {
+            let terms = at0.iter_mut().zip(&mut slope).zip(col);
+            if rbf {
+                for ((p, q), &s) in terms {
+                    let e = s - o;
+                    *p += e * e;
+                    *q += e * d;
+                }
+            } else {
+                for ((a, b), &s) in terms {
+                    *a += s * o;
+                    *b += s * d;
                 }
             }
         }
+        // Candidates padded to whole registers with `t = 0` lanes, which
+        // are scored but never copied out: the vector body then covers
+        // every candidate, with no scalar remainder.
+        let np = ts.len().next_multiple_of(LANES);
+        let (mut t, mut acc) = (vec![0.0; np], vec![self.bias; np]);
+        t[..ts.len()].copy_from_slice(ts);
+        let terms = at0.iter().zip(&slope).zip(&self.beta);
+        if rbf {
+            let r = dot(dir, dir);
+            for ((&p, &q), &b) in terms {
+                let q2 = 2.0 * q;
+                for (acc, &t) in acc.iter_mut().zip(&t) {
+                    *acc += b * exp(-gamma * (p + t * (t * r - q2)));
+                }
+            }
+        } else {
+            for ((&a, &s), &b) in terms {
+                for (acc, &t) in acc.iter_mut().zip(&t) {
+                    *acc += b * (gamma * (a + t * s) + coef0).powi(degree);
+                }
+            }
+        }
+        out.copy_from_slice(&acc[..ts.len()]);
     }
 
     /// [`sweep`](Self::sweep) compiled for AVX2 (4 f64 lanes).
@@ -414,12 +386,12 @@ impl ScoringPlan {
     /// The body is safe code; `unsafe` is forced by `target_feature`
     /// alone.
     // SAFETY: callers must have verified AVX2 support (the dispatch in
-    // `score_transposed_into` checks `is_x86_feature_detected!`), or
-    // executing the AVX2-encoded body is UB on older CPUs.
+    // `score_line_into` checks `is_x86_feature_detected!`), or executing
+    // the AVX2-encoded body is UB on older CPUs.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_avx2(&self, xt: &[f64], np: usize, lane: &mut [f64], out: &mut [f64]) {
-        self.sweep(xt, np, lane, out);
+    unsafe fn sweep_avx2(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
+        self.sweep(origin, dir, ts, out);
     }
 
     /// [`sweep`](Self::sweep) compiled for AVX-512F (8 f64 lanes).
@@ -427,136 +399,27 @@ impl ScoringPlan {
     /// The body is safe code; `unsafe` is forced by `target_feature`
     /// alone.
     // SAFETY: callers must have verified AVX-512F support (the dispatch
-    // in `score_transposed_into` checks `is_x86_feature_detected!`), or
+    // in `score_line_into` checks `is_x86_feature_detected!`), or
     // executing the AVX-512-encoded body is UB on older CPUs.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx512f")]
-    unsafe fn sweep_avx512(&self, xt: &[f64], np: usize, lane: &mut [f64], out: &mut [f64]) {
-        self.sweep(xt, np, lane, out);
+    unsafe fn sweep_avx512(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
+        self.sweep(origin, dir, ts, out);
     }
 }
 
-/// A candidate block in the column-major, block-padded layout the
-/// lane-parallel sweep consumes: feature `j` of candidate `c` at
-/// `xt[j*np + c]`, with the lane count `np` rounded up to whole
-/// register blocks. Padding lanes hold zeros, cost a few spare flops,
-/// and are never copied out — the scored output stays `n` long, so
-/// padding cannot change a single result bit.
-///
-/// Build one per candidate block and score it against every same-width
-/// [`ScoringPlan`] via
-/// [`score_transposed_into`](ScoringPlan::score_transposed_into),
-/// instead of paying the transpose once per plan.
-#[derive(Debug, Clone)]
-pub struct TransposedBlock {
-    dims: usize,
-    /// Real candidate count.
-    n: usize,
-    /// Lane count: `n` rounded up to a multiple of [`LANE_BLOCK`].
-    np: usize,
-    xt: Vec<f64>,
-}
+/// Candidates per register of the line sweep: eight f64 lanes fill one
+/// 512-bit (or two 256-bit) register.
+const LANES: usize = 8;
 
-impl TransposedBlock {
-    /// Transpose a row-major block of `block.len() / dims` candidate
-    /// rows.
-    ///
-    /// # Panics
-    /// If `dims` is zero or `block.len()` is not a multiple of it.
-    pub fn new(block: &[f64], dims: usize) -> TransposedBlock {
-        assert!(dims > 0, "a transposed block needs a nonzero width");
-        assert_eq!(
-            block.len() % dims,
-            0,
-            "candidate block must be row-major with the declared width"
-        );
-        let n = block.len() / dims;
-        let np = n.div_ceil(LANE_BLOCK) * LANE_BLOCK;
-        let mut xt = vec![0.0; dims * np];
-        for (c, row) in block.chunks_exact(dims).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                xt[j * np + c] = v;
-            }
-        }
-        TransposedBlock { dims, n, np, xt }
-    }
-}
-
-/// Below this many candidates a block is scored row by row: the lane
-/// sweep always pays for a whole [`LANE_BLOCK`]-wide pass, which a
-/// near-empty block cannot amortize (measured crossover on the CI
-/// hardware is around a third of the block width).
-const SCALAR_CUTOFF: usize = 12;
-
-/// Candidates per register block. The per-candidate accumulation is a
-/// serial dependency chain (each `acc += term` must wait on the last),
-/// so throughput comes from flying many *independent* candidate chains
-/// at once: 32 lanes is four 512-bit (or eight 256-bit) accumulators,
-/// enough chains to cover FP-add latency on the x86 tiers dispatched
-/// to while keeping the pad-to-block waste small for head-sized
-/// candidate counts (≈50–70). Measured on the CI hardware, 32 beats
-/// both 16 (chain-starved) and 64 (pads a 71-candidate head to 128).
-/// Blocks live entirely in registers across the feature loop instead
-/// of round-tripping partials through memory once per feature.
-const LANE_BLOCK: usize = 32;
-
-/// `lane[c] = ⟨sv, x_c⟩` for every candidate column of `xt` (`np`
-/// lanes, a multiple of [`LANE_BLOCK`]), each dot accumulated in
-/// feature order exactly like [`dot`].
-#[inline(always)]
-fn dot_lanes(sv: &[f64], xt: &[f64], np: usize, lane: &mut [f64]) {
-    for c in (0..np).step_by(LANE_BLOCK) {
-        let mut acc = [0.0; LANE_BLOCK];
-        for (j, &s) in sv.iter().enumerate() {
-            let col: &[f64; LANE_BLOCK] = xt[j * np + c..j * np + c + LANE_BLOCK]
-                .try_into()
-                .expect("padded block");
-            for k in 0..LANE_BLOCK {
-                acc[k] += s * col[k];
-            }
-        }
-        lane[c..c + LANE_BLOCK].copy_from_slice(&acc);
-    }
-}
-
-/// `lane[c] = ‖sv − x_c‖²` over the same padded layout as
-/// [`dot_lanes`], accumulated in feature order exactly like [`dist2`].
-#[inline(always)]
-fn dist2_lanes(sv: &[f64], xt: &[f64], np: usize, lane: &mut [f64]) {
-    for c in (0..np).step_by(LANE_BLOCK) {
-        let mut acc = [0.0; LANE_BLOCK];
-        for (j, &s) in sv.iter().enumerate() {
-            let col: &[f64; LANE_BLOCK] = xt[j * np + c..j * np + c + LANE_BLOCK]
-                .try_into()
-                .expect("padded block");
-            for k in 0..LANE_BLOCK {
-                let d = s - col[k];
-                acc[k] += d * d;
-            }
-        }
-        lane[c..c + LANE_BLOCK].copy_from_slice(&acc);
-    }
-}
-
-/// `⟨a, b⟩` folded from zero in feature order: one lane of
-/// [`dot_lanes`].
+/// `⟨a, b⟩` folded from zero in feature order.
 #[inline(always)]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(0.0, |acc, (s, v)| acc + s * v)
 }
 
-/// `‖sv − x‖²` folded from zero in feature order: one lane of
-/// [`dist2_lanes`].
-#[inline(always)]
-fn dist2(sv: &[f64], x: &[f64]) -> f64 {
-    sv.iter().zip(x).fold(0.0, |acc, (s, v)| {
-        let d = s - v;
-        acc + d * d
-    })
-}
-
 /// `eˣ` in plain arithmetic with no calls and no data-dependent
-/// branches, so the lane sweeps vectorise it. Within 1 ulp of
+/// branches, so the line sweep vectorises it. Within 1 ulp of
 /// [`f64::exp`] wherever the result is a normal number; 0 below −708
 /// (where that result goes subnormal), +∞ above 710, NaN stays NaN.
 ///
@@ -1066,20 +929,22 @@ mod tests {
     }
 
     #[test]
-    fn score_block_matches_scalar_sweep() {
+    fn line_lanes_match_single_point_calls() {
         let mut rng = SmallRng::seed_from_u64(29);
         for model in trained_models() {
             let plan = model.scoring_plan();
-            // Both sides of SCALAR_CUTOFF and of whole lane blocks.
-            for n in [1, 11, 12, 32, 33, 71] {
-                let block: Vec<f64> = (0..n * plan.dims())
-                    .map(|_| rng.gen_range(-2.0..2.0))
-                    .collect();
-                let mut out = Vec::new();
-                plan.score_block_into(&block, &mut out);
-                assert_eq!(out.len(), n);
-                for (row, got) in block.chunks_exact(plan.dims()).zip(&out) {
-                    assert_eq!(got.to_bits(), plan.score(row).to_bits());
+            let mut point =
+                || -> Vec<f64> { (0..plan.dims()).map(|_| rng.gen_range(-2.0..2.0)).collect() };
+            let (origin, dir) = (point(), point());
+            // Lines shorter and longer than every SIMD width.
+            for n in [1, 3, 8, 11, 32, 71] {
+                let ts: Vec<f64> = (0..n).map(|k| k as f64 / n as f64).collect();
+                let mut out = vec![0.0; n];
+                plan.score_line_into(&origin, &dir, &ts, &mut out);
+                for (&t, got) in ts.iter().zip(&out) {
+                    let mut single = [0.0];
+                    plan.score_line_into(&origin, &dir, &[t], &mut single);
+                    assert_eq!(got.to_bits(), single[0].to_bits());
                 }
             }
         }

@@ -206,6 +206,25 @@ fn malformed_lines_are_typed_errors_not_parse_panics() {
     }
 }
 
+/// A malformed line's message is plain text — the offending character
+/// quoted, or the end of input — never Rust `Debug` text of an
+/// `Option`.
+#[test]
+fn malformed_line_messages_are_plain_text() {
+    for (bad, want) in [
+        (
+            "predict saxpy please",
+            "bad request: unexpected 'p' at byte 0",
+        ),
+        ("", "bad request: unexpected end of input at byte 0"),
+        ("[1,", "bad request: unexpected end of input at byte 3"),
+    ] {
+        let err = Request::parse(bad).expect_err(&format!("`{bad}` must not parse"));
+        assert_eq!(err.code, ErrorCode::BadRequest, "{bad}");
+        assert_eq!(err.message, want, "{bad}");
+    }
+}
+
 /// The server-level half of the satellite: a stream with malformed
 /// JSON in the middle keeps the connection alive — the bad line gets
 /// a typed `bad_request` response and the *next* request on the same
