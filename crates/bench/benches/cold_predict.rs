@@ -6,7 +6,9 @@
 //! the two halves separately (front-end analysis vs. model scoring),
 //! so the ROADMAP's "sub-millisecond cold predict" claim is a measured
 //! number instead of an assertion and a regression in either half is
-//! attributable from the bench output alone.
+//! attributable from the bench output alone. The `cold_predict_stage`
+//! ids below each match one layer of the serving benchmark's traced
+//! replay (`score_block` per head, `to_compact_json`, the Pareto pass).
 //!
 //! Planners train once in setup with exactly the model `gpufreq serve
 //! --fast` serves ([`ModelConfig::fast`] on the fast corpus at 20
@@ -16,6 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpufreq_core::{analyze_source, Corpus, ModelConfig, Planner, TrainedPlanner, MEM_L_MHZ};
 use gpufreq_kernel::{memory_boundedness, NUM_FEATURES};
+use gpufreq_pareto::{pareto_set_fast, pareto_set_simple, Objectives};
 use gpufreq_sim::Device;
 use std::hint::black_box;
 
@@ -114,6 +117,25 @@ fn bench_stages(c: &mut Criterion) {
             b.iter(|| scorer.score_block(head, black_box(&block), &mut speedup, &mut energy))
         });
     }
+    group.finish();
+
+    // The rest of the miss path on that Titan X prediction: the answer
+    // serialization the trace times as `core.to_compact_json_us`, and
+    // the Pareto reduction over its modeled objectives, both by the
+    // served sort-and-scan and by Algorithm 1 (which the trace's
+    // `pareto.pareto_set_us` still times).
+    let prediction = planner.plan().predict(&features);
+    c.bench_function("cold_predict_stage/to_compact_json", |b| {
+        b.iter(|| black_box(&prediction).to_compact_json())
+    });
+    let objectives: Vec<Objectives> = prediction.all_points.iter().map(|p| p.objectives).collect();
+    let mut group = c.benchmark_group("cold_predict_stage/pareto");
+    group.bench_function("simple", |b| {
+        b.iter(|| pareto_set_simple(black_box(&objectives)))
+    });
+    group.bench_function("fast", |b| {
+        b.iter(|| pareto_set_fast(black_box(&objectives)))
+    });
     group.finish();
 }
 

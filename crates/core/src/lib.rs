@@ -22,8 +22,8 @@
 //!   ε-SVR for speedup, RBF-kernel ε-SVR for normalized energy
 //!   (`C = 1000`, `ε = 0.1`, `γ = 0.1`), with serde persistence;
 //! * [`predict`] — the prediction phase (Fig. 3): score every supported
-//!   configuration of a *new* kernel, reduce with Algorithm 1, and
-//!   apply the paper's mem-L heuristic (§4.5);
+//!   configuration of a *new* kernel, reduce to Algorithm 1's front
+//!   (by sort-and-scan), and apply the paper's mem-L heuristic (§4.5);
 //! * [`evaluate`] — ground-truth sweeps, per-memory-domain error
 //!   analysis (Figs. 6–7), Pareto comparison (Fig. 8) and Table 2;
 //! * [`report`] — ASCII/CSV/JSON rendering shared by the experiment
@@ -66,6 +66,7 @@
 
 pub mod artifact;
 pub mod crossval;
+mod dtoa;
 pub mod engine;
 pub mod error;
 pub mod evaluate;

@@ -2,16 +2,17 @@
 //!
 //! Given a new kernel's static features: build one feature vector per
 //! candidate frequency configuration, predict both objectives with the
-//! trained model, and reduce to the predicted Pareto set with
-//! Algorithm 1. The lowest memory domain (405 MHz) is excluded from
-//! modeling — its six settings are too few and too erratic to learn
-//! (§4.3–4.4) — and is covered instead by the paper's simple heuristic:
-//! always add the last (highest-core) mem-L configuration to the
-//! predicted set.
+//! trained model, and reduce to the predicted Pareto set (Algorithm 1's
+//! front, found by sort-and-scan). The lowest memory domain (405 MHz)
+//! is excluded from modeling — its six settings are too few and too
+//! erratic to learn (§4.3–4.4) — and is covered instead by the paper's
+//! simple heuristic: always add the last (highest-core) mem-L
+//! configuration to the predicted set.
 
+use crate::dtoa;
 use crate::model::{FreqScalingModel, ModelScorer};
 use gpufreq_kernel::{memory_boundedness, FreqConfig, StaticFeatures, NUM_FEATURES};
-use gpufreq_pareto::{pareto_set_simple, Objectives};
+use gpufreq_pareto::{pareto_set_fast, Objectives};
 use gpufreq_sim::ClockTable;
 use serde::{Deserialize, Serialize};
 
@@ -71,18 +72,45 @@ impl ParetoPrediction {
     /// Serialize to compact JSON, byte-identical to
     /// `serde_json::to_string` but written straight into one
     /// preallocated buffer instead of through an intermediate value
-    /// tree. A prediction is a few hundred numbers behind fixed field
-    /// names — on the serve hot path the tree construction costs more
-    /// than the scoring it reports, so this is the serializer the
-    /// daemon uses (pinned against the generic one by unit test).
+    /// tree. This is the serializer the daemon uses (pinned against the
+    /// generic one by unit test). Numbers go through an in-crate
+    /// shortest-round-trip writer rather than `core::fmt`, and each
+    /// distinct point is rendered once: a `pareto_set` entry that
+    /// repeats an `all_points` entry, bit for bit, copies its bytes.
     pub fn to_compact_json(&self) -> String {
-        let mut out = String::with_capacity(self.compact_json_capacity());
-        out.push_str("{\"all_points\":");
-        write_points(&self.all_points, &mut out);
-        out.push_str(",\"pareto_set\":");
-        write_points(&self.pareto_set, &mut out);
-        out.push('}');
-        out
+        let mut out = Vec::with_capacity(self.compact_json_capacity());
+        out.extend_from_slice(b"{\"all_points\":[");
+        let mut spans = Vec::with_capacity(self.all_points.len());
+        for (i, p) in self.all_points.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            let start = out.len();
+            write_point(p, &mut out);
+            spans.push(start..out.len());
+        }
+        out.extend_from_slice(b"],\"pareto_set\":[");
+        // Both lists are in candidate order, so each Pareto point is
+        // looked for only past the last one found.
+        let mut next = 0;
+        for (i, p) in self.pareto_set.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            let found = self.all_points[next..]
+                .iter()
+                .position(|a| same_bits(a, p))
+                .map(|j| next + j);
+            match found {
+                Some(j) => {
+                    out.extend_from_within(spans[j].clone());
+                    next = j + 1;
+                }
+                None => write_point(p, &mut out),
+            }
+        }
+        out.extend_from_slice(b"]}");
+        String::from_utf8(out).expect("the compact writer emits ASCII")
     }
 
     /// The buffer [`to_compact_json`](ParetoPrediction::to_compact_json)
@@ -98,50 +126,29 @@ impl ParetoPrediction {
 /// `false`.
 const POINT_BYTES: usize = 84 + 1 + 2 * 4 + 2 * 20 + 5;
 
-fn write_points(points: &[PredictedPoint], out: &mut String) {
-    if points.is_empty() {
-        out.push_str("[]");
-        return;
-    }
-    out.push('[');
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"config\":{\"core_mhz\":");
-        push_u32(p.config.core_mhz, out);
-        out.push_str(",\"mem_mhz\":");
-        push_u32(p.config.mem_mhz, out);
-        out.push_str("},\"objectives\":{\"speedup\":");
-        push_f64(p.objectives.speedup, out);
-        out.push_str(",\"energy\":");
-        push_f64(p.objectives.energy, out);
-        out.push_str("},\"heuristic\":");
-        out.push_str(if p.heuristic { "true" } else { "false" });
-        out.push('}');
-    }
-    out.push(']');
+/// Equal down to the objective bits, so both render to the same bytes
+/// (`==` would equate `0.0` with `-0.0`).
+fn same_bits(a: &PredictedPoint, b: &PredictedPoint) -> bool {
+    a.config == b.config
+        && a.heuristic == b.heuristic
+        && a.objectives.speedup.to_bits() == b.objectives.speedup.to_bits()
+        && a.objectives.energy.to_bits() == b.objectives.energy.to_bits()
 }
 
-fn push_u32(v: u32, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{v}");
-}
-
-/// One f64, formatted exactly as the generic JSON writer formats it:
-/// shortest-round-trip `Display`, integral values with a trailing
-/// `.0`, non-finite as `null`.
-fn push_f64(v: f64, out: &mut String) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            let _ = write!(out, "{v:.1}");
-        } else {
-            let _ = write!(out, "{v}");
-        }
+fn write_point(p: &PredictedPoint, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"config\":{\"core_mhz\":");
+    dtoa::push_u64(p.config.core_mhz.into(), out);
+    out.extend_from_slice(b",\"mem_mhz\":");
+    dtoa::push_u64(p.config.mem_mhz.into(), out);
+    out.extend_from_slice(b"},\"objectives\":{\"speedup\":");
+    dtoa::push_f64(p.objectives.speedup, out);
+    out.extend_from_slice(b",\"energy\":");
+    dtoa::push_f64(p.objectives.energy, out);
+    out.extend_from_slice(if p.heuristic {
+        b"},\"heuristic\":true}"
     } else {
-        out.push_str("null");
-    }
+        b"},\"heuristic\":false}"
+    });
 }
 
 /// Run the full prediction phase for a kernel with `features` over the
@@ -234,8 +241,8 @@ fn plan_candidates(
 /// The prediction core over precomputed candidate metadata: one
 /// per-kernel invariant hoist (`memory_boundedness`), one coordinate
 /// row per candidate, then one block per memory-domain head (scored
-/// along one line per memory clock), Algorithm 1, and the heuristic
-/// append. Close to the historical per-point scalar path on every
+/// along one line per memory clock), the Pareto front, and the
+/// heuristic append. Close to the historical per-point scalar path on every
 /// objective, and exactly the bits each candidate would get scored
 /// alone (see [`ModelScorer`] for both bounds).
 fn predict_planned(
@@ -266,34 +273,30 @@ fn predict_planned(
         ),
         heuristic,
     };
-    // Steps 2–8: predict both objectives for every modeled setting.
-    // One coordinate row per candidate, in candidate order...
-    let mut rows = vec![0.0; modeled.len() * NUM_FEATURES];
-    for (c, row) in modeled.iter().zip(rows.chunks_exact_mut(NUM_FEATURES)) {
-        scorer.write_scaled_row(
-            features,
-            boundedness,
-            c.core_scaled,
-            c.mem_scaled,
-            row.try_into().expect("row is NUM_FEATURES wide"),
-        );
-    }
-    // ...then one block per memory-domain head over the rows it owns
-    // (gathered in candidate order, so each candidate's score lands
-    // back in its slot with the bits it would get scored alone).
+    // Steps 2–8: predict both objectives for every modeled setting,
+    // one block per memory-domain head: the coordinate rows of the
+    // candidates it owns, gathered in candidate order, so each
+    // candidate's score lands back in its slot with the bits it would
+    // get scored alone.
     let mut objectives = vec![Objectives::new(0.0, 0.0); modeled.len()];
-    let mut block = Vec::new();
+    let (mut owned, mut block) = (Vec::new(), Vec::new());
     let (mut speedup_out, mut energy_out) = (Vec::new(), Vec::new());
     for head in 0..scorer.num_heads() {
-        let owned: Vec<usize> = (0..modeled.len())
-            .filter(|&i| modeled[i].head == head)
-            .collect();
+        owned.clear();
+        owned.extend((0..modeled.len()).filter(|&i| modeled[i].head == head));
         if owned.is_empty() {
             continue;
         }
-        block.clear();
-        for &i in &owned {
-            block.extend_from_slice(&rows[i * NUM_FEATURES..(i + 1) * NUM_FEATURES]);
+        block.resize(owned.len() * NUM_FEATURES, 0.0);
+        for (&i, row) in owned.iter().zip(block.chunks_exact_mut(NUM_FEATURES)) {
+            let c = &modeled[i];
+            scorer.write_scaled_row(
+                features,
+                boundedness,
+                c.core_scaled,
+                c.mem_scaled,
+                row.try_into().expect("row is NUM_FEATURES wide"),
+            );
         }
         scorer.score_block(head, &block, &mut speedup_out, &mut energy_out);
         for (k, &i) in owned.iter().enumerate() {
@@ -309,8 +312,9 @@ fn predict_planned(
             heuristic: false,
         })
         .collect();
-    // Step 9: Algorithm 1 over the predictions.
-    let mut pareto_set: Vec<PredictedPoint> = pareto_set_simple(&objectives)
+    // Step 9: the Pareto front over the predictions — Algorithm 1's
+    // index list, by the O(n log n) sort-and-scan.
+    let mut pareto_set: Vec<PredictedPoint> = pareto_set_fast(&objectives)
         .into_iter()
         .map(|i| all_points[i])
         .collect();
@@ -553,6 +557,36 @@ mod tests {
             };
             assert_eq!(odd.to_compact_json(), serde_json::to_string(&odd).unwrap());
         }
+    }
+
+    #[test]
+    fn compact_json_copies_only_bit_identical_points() {
+        let point = |core, speedup, energy, heuristic| PredictedPoint {
+            config: FreqConfig::new(3505, core),
+            objectives: Objectives::new(speedup, energy),
+            heuristic,
+        };
+        let all = vec![
+            point(1001, 0.0, 1.0, false),
+            point(1102, 1.5, 0.5, false),
+            point(1202, 2.0, f64::NAN, false),
+        ];
+        let pred = ParetoPrediction {
+            pareto_set: vec![
+                // Equal to all[0] under `==`, but it prints `-0.0`.
+                point(1001, -0.0, 1.0, false),
+                all[1],
+                point(1102, 1.5, 0.5, true),
+                all[2],
+                // Behind the last copied entry: rendered afresh.
+                all[0],
+            ],
+            all_points: all,
+        };
+        assert_eq!(
+            pred.to_compact_json(),
+            serde_json::to_string(&pred).unwrap()
+        );
     }
 
     #[test]

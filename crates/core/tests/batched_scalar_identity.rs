@@ -22,7 +22,7 @@ use gpufreq_kernel::{
     memory_boundedness, FreqConfig, StaticFeatures, NUM_FEATURES, NUM_STATIC_FEATURES,
 };
 use gpufreq_ml::{SvmKernel, SvrParams};
-use gpufreq_pareto::{pareto_set_simple, Objectives};
+use gpufreq_pareto::{pareto_set_fast, pareto_set_simple, Objectives};
 use gpufreq_sim::{ClockTable, Device};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -204,6 +204,16 @@ fn assert_pareto_sets_match(settings: usize, config: ModelConfig, bound: f64) ->
         let plan = PredictPlan::full(planner.model(), clocks);
         for (name, features) in &kernels {
             let batched = plan.predict(features);
+            // The served sort-and-scan front is Algorithm 1's index
+            // list on the served objectives.
+            let objectives: Vec<Objectives> =
+                batched.all_points.iter().map(|p| p.objectives).collect();
+            assert_eq!(
+                pareto_set_fast(&objectives),
+                pareto_set_simple(&objectives),
+                "{name} on {}",
+                planner.device().id()
+            );
             let reference =
                 scalar_reference(planner.model(), features, clocks, &clocks.actual_configs());
             let configs = |p: &ParetoPrediction| -> Vec<(FreqConfig, bool)> {

@@ -1,54 +1,47 @@
-//! `O(n log n)` Pareto front via sort-and-scan.
+//! `O(n log n)` Pareto front via sort-and-scan — the served path.
 //!
-//! The paper remarks that "faster algorithms with lower asymptotic
-//! complexity are available" [Li et al.]; for two objectives the
-//! classic approach sorts by speedup descending (energy ascending as
-//! tie-break) and keeps a running minimum of energy. Used both as a
-//! faster production path and as an independent oracle for testing
-//! Algorithm 1.
+//! The paper notes that Algorithm 1 is "enough" and that "faster
+//! algorithms with lower asymptotic complexity are available" (§3.4).
+//! For two objectives the classic one is the maxima-of-a-set scan of
+//! Kung, Luccio & Preparata (JACM 1975): sort by speedup descending and
+//! keep a running minimum of energy. This version returns exactly
+//! Algorithm 1's index list on every input, NaN, infinities and signed
+//! zeros included, so [`crate::simple`] serves as its test oracle.
 
 use crate::point::Objectives;
+use std::cmp::Ordering;
 
-/// Indices of the non-dominated points, ascending by index.
+/// Indices of the non-dominated points, ascending by index — the same
+/// list as [`pareto_set_simple`](crate::pareto_set_simple).
+///
+/// A point with NaN in either objective never dominates and is never
+/// dominated (every comparison with NaN is false), so it is always on
+/// the front. The rest are sorted by speedup descending, then energy
+/// ascending, with `partial_cmp`, which is total on them and equates
+/// `-0.0` with `0.0` as [`Objectives::dominates`] does. Within a run
+/// of equal speedups only the points at the run's least energy
+/// survive, and only when that energy is below every faster point's.
 pub fn pareto_set_fast(points: &[Objectives]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    // Sort: speedup descending; among equal speedups, energy ascending.
-    order.sort_by(|&a, &b| {
-        points[b]
-            .speedup
-            .partial_cmp(&points[a].speedup)
-            .expect("no NaNs in objectives")
-            .then(
-                points[a]
-                    .energy
-                    .partial_cmp(&points[b].energy)
-                    .expect("no NaNs in objectives"),
-            )
-    });
     let mut front = Vec::new();
-    let mut best_energy = f64::INFINITY;
-    let mut i = 0;
-    while i < order.len() {
-        // Process ties in speedup together: a point with equal speedup
-        // and strictly higher energy than another in the tie group is
-        // dominated, but equal (speedup, energy) duplicates are kept
-        // (they do not dominate each other under the strict definition).
-        let tie_start = i;
-        let s = points[order[i]].speedup;
-        while i < order.len() && points[order[i]].speedup == s {
-            i += 1;
+    let mut sorted = Vec::with_capacity(points.len());
+    for (i, p) in points.iter().enumerate() {
+        if p.speedup.is_nan() || p.energy.is_nan() {
+            front.push(i);
+        } else {
+            sorted.push((p.speedup, p.energy, i));
         }
-        let group_min_energy = points[order[tie_start]].energy; // sorted ascending
-        if group_min_energy < best_energy {
-            for &idx in &order[tie_start..i] {
-                if points[idx].energy == group_min_energy {
-                    front.push(idx);
-                }
-            }
-            best_energy = group_min_energy;
-        } else if group_min_energy == best_energy {
-            // Same energy as a faster point: the faster point dominates
-            // (strictly greater speedup, equal energy). Skip.
+    }
+    // A stable sort: it finds the runs a candidate list already has
+    // (speedup rising with the core clock along each memory clock).
+    let cmp = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+    sorted.sort_by(|a, b| cmp(b.0, a.0).then(cmp(a.1, b.1)));
+    // The least energy of the points faster than the current run.
+    let mut faster_energy: Option<f64> = None;
+    for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+        let least = run[0].1;
+        if faster_energy.is_none_or(|e| least < e) {
+            front.extend(run.iter().take_while(|p| p.1 == least).map(|p| p.2));
+            faster_energy = Some(least);
         }
     }
     front.sort_unstable();
@@ -73,11 +66,11 @@ mod tests {
     }
 
     fn assert_matches_simple(p: &[Objectives]) {
-        let mut a = pareto_set_fast(p);
-        let mut b = pareto_set_simple(p);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "fast and simple disagree on {p:?}");
+        assert_eq!(
+            pareto_set_fast(p),
+            pareto_set_simple(p),
+            "fast and simple disagree on {p:?}"
+        );
     }
 
     #[test]
@@ -107,6 +100,60 @@ mod tests {
     fn equal_energy_faster_point_wins() {
         let p = pts(&[(1.0, 0.8), (1.2, 0.8)]);
         assert_eq!(pareto_set_fast(&p), vec![1]);
+        assert_matches_simple(&p);
+    }
+
+    #[test]
+    fn nan_points_are_always_on_the_front() {
+        let nan = f64::NAN;
+        let p = pts(&[
+            (1.0, 1.0),
+            (nan, 0.5),
+            (1.2, 0.8),
+            (0.5, nan),
+            (nan, nan),
+            (0.9, 0.9),
+        ]);
+        assert_eq!(pareto_set_fast(&p), vec![1, 2, 3, 4]);
+        assert_matches_simple(&p);
+        assert_matches_simple(&pts(&[(nan, nan)]));
+        assert_matches_simple(&pts(&[(nan, 1.0), (nan, 1.0), (1.0, 1.0)]));
+    }
+
+    #[test]
+    fn infinities_match_simple() {
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        // A lone point, or the fastest one, at infinite energy is on
+        // the front; a slower point at infinite energy is not.
+        let p = pts(&[(1.0, inf), (0.5, inf)]);
+        assert_eq!(pareto_set_fast(&p), vec![0]);
+        assert_matches_simple(&p);
+        assert_matches_simple(&pts(&[(inf, inf), (inf, 1.0), (ninf, ninf), (1.0, ninf)]));
+        assert_matches_simple(&pts(&[(ninf, 0.5), (ninf, 0.5), (0.0, inf), (inf, inf)]));
+        assert_matches_simple(&pts(&[(inf, ninf), (inf, ninf), (1.0, 1.0)]));
+    }
+
+    #[test]
+    fn signed_zero_speedups_tie() {
+        // `dominates` equates -0.0 with 0.0: one run, least energy wins.
+        let p = pts(&[(-0.0, 1.0), (0.0, 0.5), (-0.0, 0.5), (0.0, 2.0)]);
+        assert_eq!(pareto_set_fast(&p), vec![1, 2]);
+        assert_matches_simple(&p);
+        let q = pts(&[(0.0, 0.5), (-0.0, 0.25), (-1.0, -0.0), (-1.0, 0.0)]);
+        assert_matches_simple(&q);
+    }
+
+    #[test]
+    fn exact_duplicates_all_survive_in_index_order() {
+        let p = pts(&[
+            (1.0, 0.9),
+            (0.5, 1.5),
+            (1.0, 0.9),
+            (2.0, 3.0),
+            (1.0, 0.9),
+            (2.0, 3.0),
+        ]);
+        assert_eq!(pareto_set_fast(&p), vec![0, 2, 3, 4, 5]);
         assert_matches_simple(&p);
     }
 

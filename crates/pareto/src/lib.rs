@@ -4,9 +4,12 @@
 //!
 //! * [`point`] — the bi-objective [`Objectives`] type (speedup ↑,
 //!   normalized energy ↓) with the paper's dominance definition;
-//! * [`simple`] — Algorithm 1 exactly as printed in §3.4;
+//! * [`simple`] — Algorithm 1 exactly as printed in §3.4: the test
+//!   oracle, the evaluation's front, and the serving benchmark's
+//!   reference for the Pareto layer;
 //! * [`fast`] — the `O(n log n)` sort-and-scan front the paper alludes
-//!   to, used as an independent oracle in tests;
+//!   to (Kung, Luccio & Preparata, JACM 1975), which returns Algorithm
+//!   1's exact index list on every input and is what prediction serves;
 //! * [`hypervolume`](crate::hypervolume::hypervolume) — 2-D hypervolume and the binary coverage
 //!   difference `D(P*, P′)` with reference point `(0.0, 2.0)` (§4.5);
 //! * [`extrema`] — max-speedup / min-energy extreme-point distances

@@ -4,8 +4,11 @@
 //! candidate, compare it against the remaining points, and either
 //! discard it as dominated or emit it into the front. Quadratic in the
 //! worst case, which the paper notes is "enough to process all the
-//! kernel executions associated with a new input kernel"; the
-//! `O(n log n)` alternative lives in [`crate::fast`].
+//! kernel executions associated with a new input kernel". Prediction
+//! serves the `O(n log n)` [`crate::fast`] instead, which returns the
+//! same index list; this transcription stays as its test oracle, as the
+//! evaluation's front, and as the serving benchmark's reference for the
+//! Pareto layer.
 
 use crate::point::Objectives;
 
