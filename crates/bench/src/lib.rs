@@ -1,105 +1,26 @@
 //! `gpufreq-bench` — the experiment harness.
 //!
-//! One binary per figure/table of the paper's evaluation
-//! (`fig1`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`, `table2`,
-//! `sweepcost`), plus Criterion micro-benchmarks for the library
-//! itself. This library crate holds the shared setup: the
-//! paper-parameter training run (cached on disk so the figure binaries
-//! don't retrain), the [`Engine`] every binary fans out on (pin it
-//! with `GPUFREQ_JOBS=N` — output is bit-identical for every value),
-//! common output plumbing, and the deterministic CSV generators the
-//! golden regression tests in `tests/golden.rs` snapshot.
+//! The [`report`] module is the scored, cited reproduction report
+//! behind `gpufreq report`: it runs the pipeline once and builds one
+//! paper-vs-repro section per figure and table of the paper's
+//! evaluation. The checked-in `REPRODUCTION.md` / `reproduction.json`
+//! at the repository root are golden-tested against the `--fast`
+//! pipeline (`tests/report_golden.rs`).
 //!
-//! The [`report`] module turns all of it into the scored,
-//! cited reproduction report behind `gpufreq report`: every figure
-//! binary prints its section's paper-vs-repro delta table, and the
-//! checked-in `REPRODUCTION.md` / `reproduction.json` at the
-//! repository root are golden-tested against the `--fast` pipeline
-//! (`tests/report_golden.rs`).
+//! Beside it this crate holds the deterministic CSV generators the
+//! golden regression tests in `tests/golden.rs` snapshot, the
+//! Criterion micro-benchmarks for the library itself, and the
+//! `loadgen` load generator for the serving path.
 
 #![warn(missing_docs)]
 
 pub mod report;
 
 use gpufreq_core::{
-    build_training_data_with, evaluate_all_with, table2, table2_csv, Engine, FreqScalingModel,
-    ModelConfig, Table2Row,
+    build_training_data_with, evaluate_all_with, table2, table2_csv, Engine, ModelConfig, Table2Row,
 };
 use gpufreq_sim::{DeviceSpec, GpuSimulator};
 use std::fmt::Write as _;
-use std::path::PathBuf;
-
-/// The execution engine the experiment binaries fan out on.
-///
-/// Worker count comes from the `GPUFREQ_JOBS` environment variable
-/// when set (CI pins `GPUFREQ_JOBS=2` on 2-core runners), otherwise
-/// every core. Every figure/table is bit-identical for every value —
-/// the engine merges in input order — so the variable only trades
-/// wall-clock.
-pub fn engine() -> Engine {
-    let jobs = std::env::var("GPUFREQ_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    Engine::new(jobs)
-}
-
-/// Directory where experiment binaries write their CSV/JSON artifacts.
-pub fn artifacts_dir() -> PathBuf {
-    let dir = std::env::var("GPUFREQ_ARTIFACTS").unwrap_or_else(|_| "artifacts".to_string());
-    let path = PathBuf::from(dir);
-    std::fs::create_dir_all(&path).expect("create artifacts directory");
-    path
-}
-
-/// Path of the cached paper-parameter model.
-pub fn model_cache_path() -> PathBuf {
-    artifacts_dir().join("model.json")
-}
-
-/// Train the paper-parameter model (106 micro-benchmarks × 40 sampled
-/// settings, linear-SVR speedup + RBF-SVR energy, `C = 1000`,
-/// `ε = 0.1`, `γ = 0.1`) on the [`engine`], caching the result as JSON
-/// so subsequent experiment binaries reuse it.
-pub fn paper_model(sim: &GpuSimulator) -> FreqScalingModel {
-    let cache = model_cache_path();
-    if let Ok(json) = std::fs::read_to_string(&cache) {
-        if let Ok(model) = FreqScalingModel::from_json(&json) {
-            eprintln!("[gpufreq] loaded cached model from {}", cache.display());
-            return model;
-        }
-        eprintln!("[gpufreq] cached model unreadable; retraining");
-    }
-    eprintln!("[gpufreq] training phase: 106 micro-benchmarks x 40 settings...");
-    let start = std::time::Instant::now();
-    let engine = engine();
-    let benches = gpufreq_synth::generate_all();
-    let data = build_training_data_with(&engine, sim, &benches, gpufreq_synth::TRAINING_SETTINGS);
-    eprintln!("[gpufreq] corpus assembled: {} samples", data.len());
-    let model =
-        gpufreq_core::FreqScalingModel::try_train_with(&engine, &data, &ModelConfig::default())
-            .expect("paper corpus is non-empty");
-    eprintln!(
-        "[gpufreq] trained in {:.1}s ({} / {} support vectors)",
-        start.elapsed().as_secs_f64(),
-        model.support_vectors().0,
-        model.support_vectors().1
-    );
-    if std::fs::write(&cache, model.to_json()).is_ok() {
-        eprintln!("[gpufreq] model cached at {}", cache.display());
-    }
-    model
-}
-
-/// Write a text artifact and echo its path.
-pub fn write_artifact(name: &str, contents: &str) {
-    let path = artifacts_dir().join(name);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).expect("create artifact subdirectory");
-    }
-    std::fs::write(&path, contents).expect("write artifact");
-    eprintln!("[gpufreq] wrote {}", path.display());
-}
 
 /// The Figure 4 CSV for one device: every advertised `(mem, core)`
 /// pair with its effective (possibly clamped) core clock and the
@@ -161,20 +82,6 @@ pub fn golden_table2_csv(sim: &GpuSimulator, engine: &Engine) -> String {
 mod tests {
     use super::*;
     use gpufreq_sim::Device;
-
-    #[test]
-    fn artifacts_dir_is_created() {
-        let d = artifacts_dir();
-        assert!(d.exists());
-    }
-
-    #[test]
-    fn write_artifact_round_trips() {
-        write_artifact("test/_probe.txt", "hello");
-        let p = artifacts_dir().join("test/_probe.txt");
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
-        let _ = std::fs::remove_file(p);
-    }
 
     #[test]
     fn fig4_csv_counts_match_clock_table() {

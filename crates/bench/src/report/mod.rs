@@ -14,10 +14,9 @@
 //! * [`generate`] — run the pipeline (fast: the golden reduced
 //!   corpus; full: the paper parameters) and assemble the [`Report`].
 //!
-//! Every figure binary also routes its output through the
-//! per-section builders here ([`section_fig6`], [`section_table2`],
-//! …), so `cargo run --bin fig6` prints the same paper-vs-repro delta
-//! table the report embeds.
+//! Each figure and table has its own per-section builder here
+//! ([`section_fig6`], [`section_table2`], …); [`generate`] runs the
+//! pipeline once and feeds every builder from it.
 //!
 //! The `--fast` report is checked in at the repository root and
 //! golden-tested (`crates/bench/tests/report_golden.rs`): regenerate
@@ -229,7 +228,7 @@ fn summarize(sections: &[Section]) -> Summary {
 /// Titan X that selects mem-H and mem-h (3505/3304 MHz, the paper's
 /// top rows) and excludes mem-l/mem-L; on a single-domain device like
 /// the P100 every point qualifies instead of none.
-pub fn high_mem_speedup_spread(characterization: &Characterization) -> f64 {
+fn high_mem_speedup_spread(characterization: &Characterization) -> f64 {
     let Some(top_mem) = characterization
         .points
         .iter()
@@ -706,19 +705,6 @@ pub fn section_portability(evals: &[BenchmarkEvaluation]) -> Section {
     }
 }
 
-/// Everything `generate` computes, exposed so callers (tests, bins)
-/// can reuse the underlying evaluations.
-pub struct ReportInputs {
-    /// Titan X evaluations of the twelve benchmarks.
-    pub evals: Vec<BenchmarkEvaluation>,
-    /// Tesla P100 evaluations.
-    pub p100_evals: Vec<BenchmarkEvaluation>,
-    /// Speedup error analysis (Fig. 6).
-    pub speedup_analysis: Vec<DomainErrorAnalysis>,
-    /// Energy error analysis (Fig. 7).
-    pub energy_analysis: Vec<DomainErrorAnalysis>,
-}
-
 /// Run the pipeline described by `opts` and assemble the scored
 /// [`Report`].
 ///
@@ -726,11 +712,6 @@ pub struct ReportInputs {
 /// snapshot ([`crate::golden_table2_rows`]); full mode is the paper's
 /// parameters. Both are deterministic and schedule-independent.
 pub fn generate(opts: &ReportOptions) -> Result<Report> {
-    Ok(generate_with_inputs(opts)?.0)
-}
-
-/// [`generate`], also returning the computed evaluations.
-pub fn generate_with_inputs(opts: &ReportOptions) -> Result<(Report, ReportInputs)> {
     let engine = Engine::new(opts.jobs);
     let benches: Vec<_> = if opts.full {
         gpufreq_synth::generate_all()
@@ -767,8 +748,8 @@ pub fn generate_with_inputs(opts: &ReportOptions) -> Result<(Report, ReportInput
     let p100_model = train(&p100)?;
     let p100_evals = evaluate_all_with(&engine, &p100, &p100_model, &workloads);
 
-    // §3.3 cost accounting: one mid-intensity micro-benchmark, the same
-    // index the `sweepcost` binary uses.
+    // §3.3 cost accounting: one mid-intensity micro-benchmark
+    // (`b-float-add-16`).
     let cost_bench = &gpufreq_synth::generate_all()[40];
     let cost_profile = cost_bench.profile();
     let sampled = sim.spec().clocks.sample_configs(40);
@@ -848,17 +829,10 @@ pub fn generate_with_inputs(opts: &ReportOptions) -> Result<(Report, ReportInput
             .to_string(),
     };
 
-    let report = Report {
+    Ok(Report {
         paper: PaperInfo::current(),
         provenance,
         sections,
         summary,
-    };
-    let inputs = ReportInputs {
-        evals,
-        p100_evals,
-        speedup_analysis,
-        energy_analysis,
-    };
-    Ok((report, inputs))
+    })
 }

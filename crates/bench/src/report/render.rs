@@ -1,14 +1,14 @@
 //! Rendering of a [`Report`]: the checked-in `REPRODUCTION.md`, the
-//! machine-readable `reproduction.json`, the plain-text delta tables
-//! the figure binaries print, and the CI tier-regression check.
+//! machine-readable `reproduction.json`, and the CI tier-regression
+//! check.
 //!
 //! Everything here formats with fixed precision and stable ordering so
 //! two runs that agree numerically produce byte-identical files — the
 //! property the golden test and the determinism harness pin.
 
 use super::metrics::{MetricCheck, Tier};
-use super::{Report, Section};
-use gpufreq_core::{ascii_table, markdown_table};
+use super::Report;
+use gpufreq_core::markdown_table;
 use std::fmt::Write as _;
 
 /// File name of the Markdown report.
@@ -149,19 +149,6 @@ pub fn render_json(report: &Report) -> String {
 /// Parse a report back from [`render_json`] output.
 pub fn parse_json(json: &str) -> Result<Report, String> {
     serde_json::from_str(json).map_err(|e| format!("malformed reproduction.json: {e}"))
-}
-
-/// Render one section's paper-vs-repro delta table as plain text — the
-/// trailer every figure binary prints after its own output.
-pub fn render_section_text(section: &Section) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "--- paper vs. reproduction ({}) ---", section.citation);
-    if section.metrics.is_empty() {
-        out.push_str("(no scored metrics for this section)\n");
-    } else {
-        out.push_str(&ascii_table(&METRIC_HEADER, &metric_rows(&section.metrics)));
-    }
-    out
 }
 
 /// Compare `current` against `baseline` and list every metric whose

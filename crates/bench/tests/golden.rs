@@ -1,10 +1,10 @@
-//! Golden regression tests for the figure/table binaries.
+//! Golden regression tests for the Fig. 4 clock tables and Table 2.
 //!
-//! The experiment binaries' CSV artifacts used to be checked by eye;
-//! these tests snapshot the deterministic generators behind `fig4` and
-//! `table2` under `artifacts/test/` and compare byte-for-byte, so a
-//! drift in the clock tables, the sampling scheme, the solver, or the
-//! evaluation shows up as a CI failure naming the figure it moved.
+//! These tests snapshot the deterministic generators [`fig4_csv`] and
+//! [`golden_table2_csv`] under `artifacts/test/` and compare
+//! byte-for-byte, so a drift in the clock tables, the sampling scheme,
+//! the solver, or the evaluation shows up as a CI failure naming the
+//! figure it moved.
 //!
 //! To regenerate the snapshots after an *intentional* change:
 //!

@@ -486,7 +486,9 @@ fn evaluate(parsed: &ParsedArgs, model_path: &str, out: &mut dyn Write) -> CmdRe
 /// (paper-parameter) pipeline, write `REPRODUCTION.md` +
 /// `reproduction.json` into `dir`, and — with `--check` — fail when
 /// any metric regressed from pass to FAIL tier relative to a baseline
-/// `reproduction.json`.
+/// `reproduction.json`. The baseline is read before anything runs or is
+/// written, so it may be the file this run overwrites, and a missing or
+/// corrupt baseline fails at once.
 fn report(
     parsed: &ParsedArgs,
     full: bool,
@@ -495,6 +497,13 @@ fn report(
     out: &mut dyn Write,
 ) -> CmdResult {
     use gpufreq_bench::report::{generate, render, ReportOptions};
+    let baseline = check
+        .map(|path| {
+            let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            let report = render::parse_json(&json).map_err(|e| format!("{path}: {e}"))?;
+            Ok::<_, String>((path, report))
+        })
+        .transpose()?;
     let opts = ReportOptions {
         full,
         jobs: parsed.jobs,
@@ -533,11 +542,7 @@ fn report(
     )?;
     writeln!(out, "wrote {}", md_path.display())?;
     writeln!(out, "wrote {}", json_path.display())?;
-    if let Some(baseline_path) = check {
-        let baseline_json =
-            std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-        let baseline =
-            render::parse_json(&baseline_json).map_err(|e| format!("{baseline_path}: {e}"))?;
+    if let Some((baseline_path, baseline)) = baseline {
         let regressions = render::tier_regressions(&baseline, &report);
         if regressions.is_empty() {
             writeln!(

@@ -3,7 +3,7 @@
 //!
 //! Everything above [`GpuSimulator::sweep`](gpufreq_sim::GpuSimulator)
 //! — per-benchmark training sweeps, per-workload evaluation,
-//! per-fold cross-validation, per-source batch prediction — is
+//! per-source batch prediction — is
 //! independent work over an indexed list. [`Engine`] packages the one
 //! primitive they all need: [`Engine::map`], a scoped-thread fan-out
 //! over a slice whose results are merged back **in input order**, so a
@@ -23,7 +23,7 @@
 //! The module also hosts [`ProfileCache`], the shared source-keyed
 //! kernel-analysis cache used by
 //! [`TrainedPlanner::predict_batch`](crate::TrainedPlanner::predict_batch),
-//! the CLI's `sweep` subcommand and the experiment binaries, so a
+//! and the CLI's `sweep` subcommand, so a
 //! kernel that appears many times in a batch is parsed and analyzed
 //! exactly once.
 
@@ -168,8 +168,8 @@ impl Engine {
 /// Parsing and statically analyzing an OpenCL-C kernel is pure — the
 /// same source always yields the same [`StaticFeatures`] and
 /// [`KernelProfile`] — so repeated kernels (a batch with duplicates,
-/// the same file swept on several devices, figure binaries sharing
-/// workloads) only pay for analysis once. The full source string is
+/// the same file swept on several devices) only pay for analysis
+/// once. The full source string is
 /// the map key (hashed internally by the table), so distinct kernels
 /// can never alias, whatever their hashes do. Successful analyses are
 /// cached; failing sources are re-analyzed on every call so each

@@ -327,79 +327,6 @@ fn domain_label(mem_mhz: u32) -> String {
     }
 }
 
-/// Misprediction structure of one predicted Pareto set (§4.5).
-///
-/// The paper notes that "errors are not all equals: overestimation on
-/// speedup, as well as underestimation on energy, are much worse than
-/// the opposite, as they may introduce wrong dominant solutions". This
-/// analysis counts exactly those failure modes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MispredictionAnalysis {
-    /// Predicted-set points that are truly on the measured front.
-    pub true_members: usize,
-    /// Predicted-set points that are measured-dominated by some other
-    /// *measured* point (wrong dominant solutions).
-    pub false_members: usize,
-    /// Measured-front points with no predicted point nearby (missed
-    /// trade-offs). "Nearby" = within `tolerance` in both objectives.
-    pub missed: usize,
-    /// Points whose *predicted* objectives overestimated speedup by
-    /// more than `tolerance` — the dangerous direction.
-    pub speedup_overestimates: usize,
-    /// Points whose *predicted* objectives underestimated normalized
-    /// energy by more than `tolerance` — the dangerous direction.
-    pub energy_underestimates: usize,
-}
-
-/// Analyze how a benchmark's predicted set mispredicts, with the given
-/// objective-space tolerance.
-pub fn misprediction_analysis(eval: &BenchmarkEvaluation, tolerance: f64) -> MispredictionAnalysis {
-    let measured_all: Vec<Objectives> = eval
-        .ground_truth
-        .points
-        .iter()
-        .map(|p| Objectives::new(p.speedup, p.norm_energy))
-        .collect();
-    let mut true_members = 0;
-    let mut false_members = 0;
-    for p in &eval.predicted_measured {
-        if measured_all.iter().any(|m| m.dominates(p)) {
-            false_members += 1;
-        } else {
-            true_members += 1;
-        }
-    }
-    let missed = eval
-        .real_front
-        .iter()
-        .filter(|f| {
-            !eval.predicted_measured.iter().any(|p| {
-                (p.speedup - f.speedup).abs() <= tolerance
-                    && (p.energy - f.energy).abs() <= tolerance
-            })
-        })
-        .count();
-    let mut speedup_overestimates = 0;
-    let mut energy_underestimates = 0;
-    for point in &eval.prediction.pareto_set {
-        if let Some(measured) = eval.measured_at(point.config) {
-            if point.objectives.speedup > measured.speedup + tolerance {
-                speedup_overestimates += 1;
-            }
-            if point.objectives.energy < measured.energy - tolerance {
-                energy_underestimates += 1;
-            }
-        }
-    }
-    MispredictionAnalysis {
-        true_members,
-        false_members,
-        missed,
-        speedup_overestimates,
-        energy_underestimates,
-    }
-}
-
 /// One row of Table 2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table2Row {
@@ -519,25 +446,6 @@ mod tests {
             assert!(r.predicted_points > 0);
             assert!(r.real_points > 0);
         }
-    }
-
-    #[test]
-    fn misprediction_analysis_is_consistent() {
-        let (sim, model) = setup();
-        let w = gpufreq_workloads::workload("perlin").unwrap();
-        let eval = evaluate_workload(&sim, &model, &w);
-        let mp = misprediction_analysis(&eval, 0.02);
-        assert_eq!(
-            mp.true_members + mp.false_members,
-            eval.predicted_measured.len(),
-            "every predicted point is classified exactly once"
-        );
-        assert!(mp.missed <= eval.real_front.len());
-        // With a huge tolerance nothing is missed.
-        let lax = misprediction_analysis(&eval, 10.0);
-        assert_eq!(lax.missed, 0);
-        assert_eq!(lax.speedup_overestimates, 0);
-        assert_eq!(lax.energy_underestimates, 0);
     }
 
     #[test]

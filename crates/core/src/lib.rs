@@ -12,8 +12,8 @@
 //! * [`artifact`] — [`ModelArtifact`], the versioned, device-tagged
 //!   persistence envelope;
 //! * [`engine`] — the parallel execution [`Engine`] (deterministic
-//!   index-ordered fan-out of training, evaluation, cross-validation
-//!   and batch prediction) and the shared [`ProfileCache`];
+//!   index-ordered fan-out of training, evaluation and batch
+//!   prediction) and the shared [`ProfileCache`];
 //! * [`pipeline`] — the training phase (Fig. 2): execute the 106
 //!   synthetic micro-benchmarks at 40 sampled frequency settings and
 //!   assemble `(features ⊕ frequencies) → (speedup, normalized energy)`
@@ -26,8 +26,8 @@
 //!   (by sort-and-scan), and apply the paper's mem-L heuristic (§4.5);
 //! * [`evaluate`] — ground-truth sweeps, per-memory-domain error
 //!   analysis (Figs. 6–7), Pareto comparison (Fig. 8) and Table 2;
-//! * [`report`] — ASCII/CSV/JSON rendering shared by the experiment
-//!   binaries.
+//! * [`report`] — ASCII/Markdown tables and the Table 2 CSV, shared by
+//!   the CLI's `evaluate` command and `gpufreq report`.
 //!
 //! # End-to-end example
 //!
@@ -65,7 +65,6 @@
 #![deny(missing_docs)]
 
 pub mod artifact;
-pub mod crossval;
 mod dtoa;
 pub mod engine;
 pub mod error;
@@ -77,9 +76,6 @@ pub mod predict;
 pub mod report;
 
 pub use artifact::ModelArtifact;
-pub use crossval::{
-    leave_one_pattern_out, leave_one_pattern_out_with, CrossValidation, FoldResult,
-};
 pub use engine::{Engine, ProfileCache};
 pub use error::{Error, Result, MODEL_FORMAT_VERSION};
 pub use evaluate::{
@@ -97,6 +93,5 @@ pub use predict::{
     PredictedPoint, MEM_L_MHZ,
 };
 pub use report::{
-    ascii_table, csv_field, markdown_escape, markdown_table, objectives_csv, render_error_panel,
-    render_table2, series_csv, table2_csv,
+    ascii_table, csv_field, markdown_escape, markdown_table, render_table2, table2_csv,
 };

@@ -1,11 +1,10 @@
-//! Rendering of experiment output: ASCII tables, CSV and JSON series.
+//! Rendering of experiment output: ASCII and Markdown tables, and the
+//! Table 2 CSV.
 //!
-//! The experiment binaries in `gpufreq-bench` print the same rows and
-//! series the paper reports; this module holds the shared formatting so
-//! the output of every figure/table binary is consistent and diffable.
+//! The CLI's `evaluate` command and the `gpufreq report` sections share
+//! this formatting, so their tables are consistent and diffable.
 
-use crate::evaluate::{DomainErrorAnalysis, Table2Row};
-use gpufreq_pareto::Objectives;
+use crate::evaluate::Table2Row;
 use std::fmt::Write as _;
 
 /// Render a generic ASCII table with a header row.
@@ -91,34 +90,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     ascii_table(&header, &body)
 }
 
-/// Render one Fig. 6 / Fig. 7 panel: per-benchmark box statistics for a
-/// memory domain plus the pooled RMSE caption.
-pub fn render_error_panel(domain: &DomainErrorAnalysis, objective_name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Memory Frequency: {} MHz ({})  —  {}  —  RMSE = {:.2}%",
-        domain.mem_mhz, domain.label, objective_name, domain.rmse_percent
-    );
-    let header = ["Benchmark", "min%", "q25%", "median%", "q75%", "max%"];
-    let body: Vec<Vec<String>> = domain
-        .per_benchmark
-        .iter()
-        .map(|b| {
-            vec![
-                b.name.clone(),
-                format!("{:.2}", b.stats.min),
-                format!("{:.2}", b.stats.q25),
-                format!("{:.2}", b.stats.median),
-                format!("{:.2}", b.stats.q75),
-                format!("{:.2}", b.stats.max),
-            ]
-        })
-        .collect();
-    out.push_str(&ascii_table(&header, &body));
-    out
-}
-
 /// Serialize Table 2 as CSV — the golden-test representation: fixed
 /// six-decimal formatting, one row per benchmark in the given order, so
 /// two runs that agree numerically produce byte-identical files.
@@ -195,29 +166,9 @@ pub fn csv_field(field: &str) -> String {
     }
 }
 
-/// Serialize an `(x, y)` series as CSV with a header line.
-pub fn series_csv(header: (&str, &str), points: &[(f64, f64)]) -> String {
-    let mut out = format!("{},{}\n", header.0, header.1);
-    for (x, y) in points {
-        let _ = writeln!(out, "{x},{y}");
-    }
-    out
-}
-
-/// Serialize an objective-space point set as CSV
-/// (`speedup,normalized_energy` columns).
-pub fn objectives_csv(points: &[Objectives]) -> String {
-    let mut out = String::from("speedup,normalized_energy\n");
-    for p in points {
-        let _ = writeln!(out, "{},{}", p.speedup, p.energy);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpufreq_ml::BoxStats;
     use gpufreq_pareto::ExtremeDistance;
 
     #[test]
@@ -267,30 +218,5 @@ mod tests {
         assert!(t.contains("PerlinNoise"));
         assert!(t.contains("0.0059"));
         assert!(t.contains("(0.009, 0.008)"));
-    }
-
-    #[test]
-    fn error_panel_includes_rmse() {
-        let d = DomainErrorAnalysis {
-            mem_mhz: 3505,
-            label: "Mem_H".to_string(),
-            per_benchmark: vec![crate::evaluate::BenchmarkErrors {
-                name: "k-NN".to_string(),
-                stats: BoxStats::from_values(&[-5.0, -1.0, 0.0, 2.0, 6.0]),
-            }],
-            rmse_percent: 6.68,
-        };
-        let s = render_error_panel(&d, "speedup");
-        assert!(s.contains("RMSE = 6.68%"));
-        assert!(s.contains("k-NN"));
-    }
-
-    #[test]
-    fn csv_round_trip_shape() {
-        let csv = series_csv(("core_mhz", "speedup"), &[(135.0, 0.4), (1001.0, 1.0)]);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("core_mhz,speedup\n"));
-        let ocsv = objectives_csv(&[Objectives::new(1.0, 1.0)]);
-        assert_eq!(ocsv.lines().count(), 2);
     }
 }

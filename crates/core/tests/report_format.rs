@@ -3,7 +3,7 @@
 //! empty-row rendering, and the divergent escaping rules of CSV
 //! (RFC 4180 quoting) vs Markdown (pipe/newline escaping).
 
-use gpufreq_core::{ascii_table, csv_field, markdown_escape, markdown_table, series_csv};
+use gpufreq_core::{ascii_table, csv_field, markdown_escape, markdown_table};
 
 #[test]
 fn ascii_table_aligns_non_ascii_cells_by_chars_not_bytes() {
@@ -47,16 +47,6 @@ fn nan_cells_render_literally_and_right_align_as_numeric() {
     );
     assert!(t.contains("|   NaN |"), "{t}");
     assert!(t.contains("| 123.5 |"), "{t}");
-}
-
-#[test]
-fn series_csv_renders_non_finite_values_literally() {
-    let csv = series_csv(
-        ("x", "y"),
-        &[(1.0, f64::NAN), (2.0, f64::INFINITY), (3.0, 0.5)],
-    );
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines, ["x,y", "1,NaN", "2,inf", "3,0.5"]);
 }
 
 #[test]

@@ -86,6 +86,36 @@ impl Keyword {
             _ => return None,
         })
     }
+
+    /// The keyword as it is written in source (the `__`-prefixed
+    /// spelling where the language has two).
+    pub(crate) fn text(self) -> &'static str {
+        match self {
+            Keyword::Kernel => "__kernel",
+            Keyword::Global => "__global",
+            Keyword::Local => "__local",
+            Keyword::Constant => "__constant",
+            Keyword::Private => "__private",
+            Keyword::Const => "const",
+            Keyword::Void => "void",
+            Keyword::Int => "int",
+            Keyword::Uint => "uint",
+            Keyword::Long => "long",
+            Keyword::Ulong => "ulong",
+            Keyword::Float => "float",
+            Keyword::Bool => "bool",
+            Keyword::If => "if",
+            Keyword::Else => "else",
+            Keyword::For => "for",
+            Keyword::While => "while",
+            Keyword::Do => "do",
+            Keyword::Return => "return",
+            Keyword::Break => "break",
+            Keyword::Continue => "continue",
+            Keyword::True => "true",
+            Keyword::False => "false",
+        }
+    }
 }
 
 /// Operators and punctuation.
@@ -137,6 +167,57 @@ pub enum Op {
     RBracket,
 }
 
+impl Op {
+    /// The operator as it is written in source.
+    pub(crate) fn text(self) -> &'static str {
+        match self {
+            Op::Plus => "+",
+            Op::Minus => "-",
+            Op::Star => "*",
+            Op::Slash => "/",
+            Op::Percent => "%",
+            Op::Amp => "&",
+            Op::Pipe => "|",
+            Op::Caret => "^",
+            Op::Tilde => "~",
+            Op::Bang => "!",
+            Op::Shl => "<<",
+            Op::Shr => ">>",
+            Op::AndAnd => "&&",
+            Op::OrOr => "||",
+            Op::Lt => "<",
+            Op::Gt => ">",
+            Op::Le => "<=",
+            Op::Ge => ">=",
+            Op::EqEq => "==",
+            Op::Ne => "!=",
+            Op::Assign => "=",
+            Op::PlusAssign => "+=",
+            Op::MinusAssign => "-=",
+            Op::StarAssign => "*=",
+            Op::SlashAssign => "/=",
+            Op::PercentAssign => "%=",
+            Op::AmpAssign => "&=",
+            Op::PipeAssign => "|=",
+            Op::CaretAssign => "^=",
+            Op::ShlAssign => "<<=",
+            Op::ShrAssign => ">>=",
+            Op::PlusPlus => "++",
+            Op::MinusMinus => "--",
+            Op::Question => "?",
+            Op::Colon => ":",
+            Op::Comma => ",",
+            Op::Semi => ";",
+            Op::LParen => "(",
+            Op::RParen => ")",
+            Op::LBrace => "{",
+            Op::RBrace => "}",
+            Op::LBracket => "[",
+            Op::RBracket => "]",
+        }
+    }
+}
+
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
@@ -180,6 +261,40 @@ impl fmt::Display for LexError {
 }
 
 impl std::error::Error for LexError {}
+
+/// Longest token text, in chars, that [`quote_text`] copies into a
+/// message.
+const QUOTE_MAX_CHARS: usize = 32;
+
+/// The source text under `span`, quoted for a diagnostic (see
+/// [`quote_text`]), or `end of input` for the empty span at the end of
+/// the source. A span that does not fall on char boundaries of `src`
+/// quotes as `'?'` rather than panicking.
+pub(crate) fn quote(src: &str, span: Span) -> String {
+    if span.start >= src.len() {
+        return "end of input".to_string();
+    }
+    quote_text(src.get(span.start..span.end).unwrap_or("?"))
+}
+
+/// `'text'`, cut to [`QUOTE_MAX_CHARS`] chars (then `…`), with control
+/// characters escaped.
+fn quote_text(text: &str) -> String {
+    let mut out = String::from("'");
+    for (i, c) in text.chars().enumerate() {
+        if i == QUOTE_MAX_CHARS {
+            out.push('…');
+            break;
+        }
+        if c.is_control() {
+            out.extend(c.escape_default());
+        } else {
+            out.push(c);
+        }
+    }
+    out.push('\'');
+    out
+}
 
 struct Cursor<'a> {
     src: &'a [u8],
@@ -542,15 +657,20 @@ fn lex_op(cur: &mut Cursor<'_>) -> Result<TokenKind, LexError> {
         b'}' => Op::RBrace,
         b'[' => Op::LBracket,
         b']' => Op::RBracket,
-        other => {
+        _ => {
+            // Take the whole character, not just its first UTF-8 byte.
+            while cur.peek().is_some_and(|b| b & 0xC0 == 0x80) {
+                cur.bump();
+            }
+            let text = std::str::from_utf8(&cur.src[start..cur.pos]).unwrap_or("?");
             return Err(LexError {
-                message: format!("unexpected character {:?}", other as char),
+                message: format!("unexpected character {}", quote_text(text)),
                 span: Span {
                     start,
                     end: cur.pos,
                     line,
                 },
-            })
+            });
         }
     };
     Ok(TokenKind::Op(op))

@@ -7,7 +7,7 @@
 //! precedence climbing.
 
 use crate::ast::*;
-use crate::lexer::{lex, Keyword, LexError, Op, Span, Token, TokenKind};
+use crate::lexer::{lex, quote, Keyword, LexError, Op, Span, Token, TokenKind};
 use std::fmt;
 
 /// Parse error with location information.
@@ -43,7 +43,11 @@ impl From<LexError> for ParseError {
 /// Parse a full translation unit (one or more kernels).
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        src,
+        tokens,
+        pos: 0,
+    };
     let mut kernels = Vec::new();
     while !p.at_eof() {
         kernels.push(p.kernel_fn()?);
@@ -57,12 +61,13 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Ok(Program { kernels })
 }
 
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -95,7 +100,7 @@ impl Parser {
         if self.eat_op(op) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {:?}, found {:?}", op, self.peek())))
+            Err(self.unexpected(&format!("'{}'", op.text())))
         }
     }
     fn eat_kw(&mut self, kw: Keyword) -> bool {
@@ -110,11 +115,7 @@ impl Parser {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(self.err(format!(
-                "expected keyword {:?}, found {:?}",
-                kw,
-                self.peek()
-            )))
+            Err(self.unexpected(&format!("'{}'", kw.text())))
         }
     }
     fn expect_ident(&mut self) -> Result<String, ParseError> {
@@ -123,7 +124,7 @@ impl Parser {
                 self.bump();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
+            _ => Err(self.unexpected("identifier")),
         }
     }
     fn err(&self, message: String) -> ParseError {
@@ -131,6 +132,12 @@ impl Parser {
             message,
             span: self.span(),
         }
+    }
+    /// An "expected `what`, found …" error at the current token, whose
+    /// source text the message quotes.
+    fn unexpected(&self, what: &str) -> ParseError {
+        let found = quote(self.src, self.span());
+        self.err(format!("expected {what}, found {found}"))
     }
 
     // ---- declarations -------------------------------------------------
@@ -214,7 +221,7 @@ impl Parser {
             TokenKind::Kw(Keyword::Ulong) => Scalar::Ulong,
             TokenKind::Kw(Keyword::Float) => Scalar::Float,
             TokenKind::Kw(Keyword::Bool) => Scalar::Bool,
-            other => return Err(self.err(format!("expected type, found {other:?}"))),
+            _ => return Err(self.unexpected("type")),
         };
         self.bump();
         Ok(s)
@@ -314,12 +321,11 @@ impl Parser {
         let name = self.expect_ident()?;
         // Fixed-size array declaration (e.g. `__local float tile[256];`).
         if self.eat_op(Op::LBracket) {
-            let len = match self.bump() {
+            let len = match *self.peek() {
                 TokenKind::IntLit(v, _) if v > 0 => v as u64,
-                other => {
-                    return Err(self.err(format!("expected array length literal, found {other:?}")))
-                }
+                _ => return Err(self.unexpected("array length literal")),
             };
+            self.bump();
             self.expect_op(Op::RBracket)?;
             let ty = Type {
                 scalar,
@@ -392,7 +398,12 @@ impl Parser {
             let target = match e {
                 Expr::Var(name) => LValue::Var(name),
                 Expr::Index { base, index } => LValue::Index { base, index },
-                other => return Err(self.err(format!("invalid assignment target: {other:?}"))),
+                _ => {
+                    return Err(ParseError {
+                        message: "invalid assignment target".into(),
+                        span,
+                    })
+                }
             };
             let value = self.expr()?;
             return Ok(Stmt::Assign {
@@ -417,8 +428,8 @@ impl Parser {
     fn expect_var(&self, e: Expr, span: Span, op: BinOp) -> Result<Stmt, ParseError> {
         match e {
             Expr::Var(name) => Ok(self.incdec(name, op, span)),
-            other => Err(ParseError {
-                message: format!("++/-- requires a variable, found {other:?}"),
+            _ => Err(ParseError {
+                message: "'++' or '--' requires a variable".into(),
                 span,
             }),
         }
@@ -678,7 +689,7 @@ impl Parser {
                 self.expect_op(Op::RParen)?;
                 Ok(e)
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
+            _ => Err(self.unexpected("expression")),
         }
     }
 }
@@ -876,6 +887,38 @@ mod tests {
     fn parse_error_has_line() {
         let e = parse("__kernel void k() {\n  int x = ;\n}").unwrap_err();
         assert_eq!(e.span.line, 2);
+    }
+
+    /// Parse errors reach the wire, so they quote source text, never
+    /// the parser's own token or AST types.
+    #[test]
+    fn parse_errors_quote_source_not_debug_text() {
+        let body = |stmt: &str| {
+            let src = format!("__kernel void k(__global float* x) {{\n  {stmt}\n}}");
+            parse(&src).unwrap_err()
+        };
+        let e = body("(x[0] + x[1] * 2.0f) = 1.0f;");
+        assert_eq!(e.message, "invalid assignment target");
+        assert_eq!(e.span.line, 2);
+        assert_eq!(body("x[0] = (1.0f;").message, "expected ')', found ';'");
+        assert_eq!(body("x[0]++;").message, "'++' or '--' requires a variable");
+        assert_eq!(
+            parse("this is not OpenCL").unwrap_err().message,
+            "expected '__kernel', found 'this'"
+        );
+        assert_eq!(
+            parse("__kernel void k(").unwrap_err().message,
+            "expected type, found end of input"
+        );
+        // A long token is cut; a stray character is quoted whole, not
+        // by its first UTF-8 byte.
+        assert_eq!(
+            parse(&"a".repeat(40)).unwrap_err().message,
+            format!("expected '__kernel', found '{}…'", "a".repeat(32))
+        );
+        let e = parse("__kernel void k() { float é; }").unwrap_err();
+        assert_eq!(e.message, "unexpected character 'é'");
+        assert_eq!(e.span.end - e.span.start, 'é'.len_utf8());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `gpufreq-sim` — a deterministic, cycle-approximate GPU DVFS
-//! simulator with an NVML-like management facade.
+//! simulator.
 //!
 //! This crate is the hardware substrate of the `gpufreq` reproduction
 //! of *Predictable GPUs Frequency Scaling for Energy and Performance*
@@ -20,7 +20,6 @@
 //! * [`sensor`] — the 62.5 Hz NVML power sampler and the multi-run
 //!   measurement protocol of §4.1, including simulated wall-clock
 //!   accounting (why exhaustive sweeps take 70 minutes per kernel);
-//! * [`nvml`] — a facade with NVML-shaped entry points;
 //! * [`registry`] — the typed [`Device`] registry mapping stable ids
 //!   (`titan-x`, `tesla-p100`, `tesla-k20c`) to specs and simulators;
 //! * [`runner`] — the [`GpuSimulator`]: run, sweep (scoped-thread-parallel)
@@ -55,7 +54,6 @@
 pub mod clocks;
 pub mod device;
 pub mod noise;
-pub mod nvml;
 pub mod power;
 pub mod registry;
 pub mod runner;
@@ -69,7 +67,6 @@ pub use clocks::{
 };
 pub use device::{CpiTable, DeviceSpec, EnergyTable};
 pub use noise::{NoiseModel, NoiseSampler};
-pub use nvml::{NvmlDevice, NvmlError};
 pub use power::{average_power, energy_j, PowerBreakdown};
 pub use registry::{Device, UnknownDevice};
 pub use runner::{Characterization, GpuSimulator, NormalizedMeasurement, UnsupportedConfig};

@@ -15,11 +15,9 @@
 
 #![warn(missing_docs)]
 
-pub mod extended;
 pub mod mixed;
 pub mod patterns;
 
-pub use extended::generate_extended;
 pub use mixed::{mix_specs, MixSpec};
 pub use patterns::{PatternKind, INTENSITIES};
 

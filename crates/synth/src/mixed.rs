@@ -178,7 +178,7 @@ impl MixSpec {
 /// for global/local access assume the dedicated multi-buffer skeleton;
 /// mixes use the plain `in_buf`/`out_buf`/`tile` skeleton, so the two
 /// memory classes are emitted differently here.
-pub(crate) fn mix_body_line(p: PatternKind, k: u32) -> String {
+fn mix_body_line(p: PatternKind, k: u32) -> String {
     match p {
         PatternKind::IntAdd => format!("    v = v + {};\n", 1 + k % 7),
         PatternKind::IntMul => "    v = v * 3;\n".to_string(),

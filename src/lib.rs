@@ -12,7 +12,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`kernel`] | OpenCL-C-subset front-end + static feature extraction (the LLVM-pass analogue) |
-//! | [`sim`] | deterministic GPU DVFS simulator with Titan X / P100 clock tables and an NVML facade |
+//! | [`sim`] | deterministic GPU DVFS simulator with Titan X / P100 clock tables |
 //! | [`ml`] | ε-SVR via SMO, OLS/ridge/LASSO/polynomial baselines, scaling, metrics |
 //! | [`pareto`] | dominance, Algorithm 1, fast fronts, hypervolume, extreme points |
 //! | [`synth`] | the 106 pattern-based synthetic training micro-benchmarks |
@@ -77,6 +77,6 @@ pub mod prelude {
     pub use gpufreq_ml::{Dataset, SvmKernel, SvrParams};
     pub use gpufreq_pareto::{pareto_front_simple, Objectives};
     pub use gpufreq_serve::{Request, Response, Server, ServerConfig, ServerStats};
-    pub use gpufreq_sim::{Device, DeviceSpec, GpuSimulator, Measurement, NvmlDevice};
+    pub use gpufreq_sim::{Device, DeviceSpec, GpuSimulator, Measurement};
     pub use gpufreq_workloads::{all_workloads, workload, Workload};
 }

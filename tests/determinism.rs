@@ -2,15 +2,15 @@
 //! its serial twin.
 //!
 //! The execution engine merges worker results by index, so training,
-//! evaluation, cross-validation and batch prediction are specified to
+//! evaluation and batch prediction are specified to
 //! produce the same bytes for `--jobs 1` and `--jobs 4` (and any other
 //! worker count) — this suite pins that contract at the artifact-JSON
 //! and Table 2 level, the representations that get persisted and
 //! compared across machines.
 
 use gpufreq_core::{
-    build_training_data_with, evaluate_all_with, leave_one_pattern_out_with, table2, table2_csv,
-    Corpus, Engine, FreqScalingModel, ModelConfig, Planner, TrainedPlanner,
+    build_training_data_with, evaluate_all_with, table2, table2_csv, Corpus, Engine,
+    FreqScalingModel, ModelConfig, Planner, TrainedPlanner,
 };
 use gpufreq_sim::{Device, GpuSimulator};
 use gpufreq_synth::MicroBenchmark;
@@ -73,30 +73,6 @@ fn evaluate_all_and_table2_are_identical_serial_vs_parallel() {
     assert_eq!(parallel, serial, "full evaluations must match");
     // And the level users diff: rendered Table 2 rows, byte for byte.
     assert_eq!(table2_csv(&table2(&parallel)), table2_csv(&table2(&serial)));
-}
-
-#[test]
-fn cross_validation_is_identical_serial_vs_parallel() {
-    let sim = GpuSimulator::titan_x();
-    // Three pattern families x three intensities: three folds.
-    let corpus: Vec<MicroBenchmark> = gpufreq_synth::generate_all()
-        .into_iter()
-        .filter(|b| {
-            ["b-int-add-", "b-float-mul-", "b-gl-access-"]
-                .iter()
-                .any(|p| b.name.starts_with(p))
-        })
-        .filter(|b| b.name.ends_with("-4") || b.name.ends_with("-32") || b.name.ends_with("-256"))
-        .collect();
-    let serial = leave_one_pattern_out_with(&Engine::serial(), &sim, &corpus, 8, &fast_config());
-    let parallel =
-        leave_one_pattern_out_with(&Engine::new(Some(4)), &sim, &corpus, 8, &fast_config());
-    assert_eq!(parallel, serial);
-    assert_eq!(
-        serde_json::to_string(&parallel).unwrap(),
-        serde_json::to_string(&serial).unwrap(),
-        "per-fold JSON must be byte-identical"
-    );
 }
 
 #[test]
