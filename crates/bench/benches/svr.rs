@@ -4,11 +4,15 @@
 //! training of the linear (speedup) and RBF (energy) heads at various
 //! corpus sizes, plus single-row prediction latency — the quantity that
 //! makes the *static* approach attractive (prediction needs no kernel
-//! execution at all).
+//! execution at all). `svr_train/served` times the heads `serve --fast`
+//! trains at start-up, at their served shape: the P100's single memory
+//! domain of the fast corpus (36 micro-benchmarks × 20 settings = 720
+//! rows), scaled as the model scales it, with `ModelConfig::fast()`
+//! parameters (both heads run to its 200k-iteration cap).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpufreq_core::build_training_data;
-use gpufreq_ml::{train_svr, SvmKernel, SvrParams};
+use gpufreq_core::{build_training_data, ModelConfig};
+use gpufreq_ml::{train_svr, Dataset, MinMaxScaler, SvmKernel, SvrParams};
 use gpufreq_sim::GpuSimulator;
 use std::hint::black_box;
 
@@ -53,6 +57,41 @@ fn bench_training(c: &mut Criterion) {
     group.finish();
 }
 
+/// The P100's fast-corpus training data, scaled like the served model:
+/// `(speedup, energy)` datasets of one memory domain.
+fn served_p100() -> (Dataset, Dataset) {
+    let corpus: Vec<_> = gpufreq_synth::generate_all()
+        .into_iter()
+        .step_by(3)
+        .collect();
+    let data = build_training_data(&GpuSimulator::tesla_p100(), &corpus, 20);
+    let scaler = MinMaxScaler::fit(data.speedup.xs());
+    let scaled = |d: &Dataset| {
+        let mut out = Dataset::new();
+        for (x, &y) in d.xs().iter().zip(d.ys()) {
+            out.push(scaler.transform(x), y);
+        }
+        out
+    };
+    (scaled(&data.speedup), scaled(&data.energy))
+}
+
+fn bench_served_training(c: &mut Criterion) {
+    let (speedup, energy) = served_p100();
+    let config = ModelConfig::fast();
+    let mut group = c.benchmark_group("svr_train/served");
+    group.sample_size(10);
+    for (name, data, params) in [
+        ("linear", &speedup, config.speedup),
+        ("rbf", &energy, config.energy),
+    ] {
+        group.bench_with_input(BenchmarkId::new(name, data.len()), data, |b, data| {
+            b.iter(|| train_svr(black_box(data), &params))
+        });
+    }
+    group.finish();
+}
+
 fn bench_prediction(c: &mut Criterion) {
     let sim = GpuSimulator::titan_x();
     let benches: Vec<_> = gpufreq_synth::generate_all().into_iter().take(32).collect();
@@ -73,6 +112,6 @@ criterion_group! {
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_training, bench_prediction
+    targets = bench_training, bench_served_training, bench_prediction
 }
 criterion_main!(benches);

@@ -5,9 +5,10 @@
 //! Everything is implemented from scratch:
 //!
 //! * [`svr`] — ε-support-vector regression trained by SMO with
-//!   second-order working-set selection and an LRU kernel-row cache
-//!   (the paper's model class: linear kernel for speedup, RBF with
-//!   `γ = 0.1` for normalized energy, both at `C = 1000`, `ε = 0.1`);
+//!   second-order working-set selection over kernel rows stored per
+//!   sample (the paper's model class: linear kernel for speedup, RBF
+//!   with `γ = 0.1` for normalized energy, both at `C = 1000`,
+//!   `ε = 0.1`);
 //! * [`linear`] — OLS / ridge via pivoted Gaussian elimination,
 //!   [`lasso`] — coordinate descent, [`poly`] — degree-2 polynomial
 //!   ridge: the alternatives §3.4 reports comparing against;

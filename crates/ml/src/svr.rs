@@ -3,7 +3,9 @@
 //! Implements the standard libsvm formulation: the ε-SVR dual is an
 //! SVM-shaped problem over `2n` variables `(α, α*)` with labels
 //! `y ∈ {+1, −1}`, solved by sequential minimal optimization with
-//! second-order working-set selection and an LRU kernel-row cache.
+//! second-order working-set selection. Kernel rows are stored per
+//! sample as the solver first asks for them; only above `cache_rows`
+//! resident rows is the least recently used one dropped.
 //! The paper's hyper-parameters are `C = 1000`, `ε = 0.1` for both
 //! models, a linear kernel for speedup and an RBF kernel with
 //! `γ = 0.1` for normalized energy (§3.4).
@@ -11,7 +13,6 @@
 use crate::dataset::Dataset;
 use crate::kernel_fn::SvmKernel;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 const TAU: f64 = 1e-12;
 
@@ -29,7 +30,11 @@ pub struct SvrParams {
     /// Hard iteration cap (0 = libsvm-style heuristic of
     /// `max(10^7, 100·n)`).
     pub max_iter: usize,
-    /// Number of kernel rows kept in the LRU cache.
+    /// Most kernel rows resident at once (at least 2). Rows are computed
+    /// on first use and kept, so with no more samples than this each
+    /// row is computed once; past it the least recently used row is
+    /// dropped and recomputed when next needed. The trained model is
+    /// the same at every value.
     pub cache_rows: usize,
 }
 
@@ -460,27 +465,25 @@ fn exp(x: f64) -> f64 {
     }
 }
 
-/// SMO solver state over the extended `2n`-variable problem.
+/// SMO solver state over the extended `2n`-variable problem. The α
+/// block `s < n` has label `y_s = +1` and the α* block `s ≥ n` has
+/// `y_s = −1`; both address base sample `s mod n`. Every scan over `2n`
+/// runs as the two blocks side by side, so no loop needs a modulo.
 struct Solver<'a> {
-    data: &'a Dataset,
     params: &'a SvrParams,
     n: usize,
-    /// Extended labels: `+1` for the α block, `−1` for the α* block.
-    y: Vec<f64>,
     /// Extended variables `(α, α*)`.
     alpha: Vec<f64>,
     /// Gradient of the dual objective.
     grad: Vec<f64>,
     /// Diagonal of the base kernel matrix.
     qd: Vec<f64>,
-    cache: RowCache,
+    rows: RowStore<'a>,
 }
 
 impl<'a> Solver<'a> {
     fn new(data: &'a Dataset, params: &'a SvrParams) -> Solver<'a> {
         let n = data.len();
-        let mut y = vec![1.0; 2 * n];
-        y[n..].fill(-1.0);
         // p_s = ε − y_s for the α block, ε + y_s for the α* block;
         // gradient starts at p because α = 0.
         let mut grad = vec![0.0; 2 * n];
@@ -496,98 +499,88 @@ impl<'a> Solver<'a> {
             })
             .collect();
         Solver {
-            data,
             params,
             n,
-            y,
             alpha: vec![0.0; 2 * n],
             grad,
             qd,
-            cache: RowCache::new(params.cache_rows),
+            rows: RowStore::new(data.xs(), params.kernel, params.cache_rows),
         }
     }
 
-    /// Base-kernel row for extended index `s` (row of `K(x_{s mod n}, ·)`).
-    fn row(&mut self, s: usize) -> std::rc::Rc<Vec<f64>> {
-        let i = s % self.n;
-        let kernel = self.params.kernel;
-        let xs = self.data.xs();
-        self.cache.get(i, || {
-            (0..xs.len()).map(|j| kernel.eval(&xs[i], &xs[j])).collect()
-        })
-    }
-
-    fn in_up(&self, s: usize) -> bool {
-        (self.y[s] > 0.0 && self.alpha[s] < self.params.c)
-            || (self.y[s] < 0.0 && self.alpha[s] > 0.0)
-    }
-
-    fn in_low(&self, s: usize) -> bool {
-        (self.y[s] > 0.0 && self.alpha[s] > 0.0)
-            || (self.y[s] < 0.0 && self.alpha[s] < self.params.c)
-    }
-
-    /// Second-order working-set selection (libsvm WSS3). Returns
-    /// `None` when the KKT gap is below tolerance.
-    fn select_working_set(&mut self) -> Option<(usize, usize)> {
-        let two_n = 2 * self.n;
-        let mut g_max = f64::NEG_INFINITY;
-        let mut i = usize::MAX;
-        for s in 0..two_n {
-            if self.in_up(s) {
-                let v = -self.y[s] * self.grad[s];
-                if v >= g_max {
-                    g_max = v;
-                    i = s;
-                }
-            }
+    /// Extended label `y_s`.
+    fn y(&self, s: usize) -> f64 {
+        if s < self.n {
+            1.0
+        } else {
+            -1.0
         }
-        if i == usize::MAX {
-            return None;
+    }
+
+    /// The first-order half of the working set from scratch; the solve
+    /// loop otherwise gathers it during the gradient update.
+    fn pick_up(&self) -> Option<(usize, f64)> {
+        let (a_lo, a_hi) = self.alpha.split_at(self.n);
+        let (g_lo, g_hi) = self.grad.split_at(self.n);
+        let mut up = UpPick::EMPTY;
+        for t in 0..self.n {
+            up.offer(t, a_lo[t], a_hi[t], g_lo[t], g_hi[t], self.params.c);
         }
-        let row_i = self.row(i);
-        let i_base = i % self.n;
-        let y_i = self.y[i];
-        let qd_i = self.qd[i_base];
+        up.pick(self.n)
+    }
+
+    /// The second-order half of the working set (libsvm WSS3): the last
+    /// `j ∈ I_low` minimising `−(g_max + y_j·G_j)² / quad(i, j)`, for the
+    /// first-order pick `(i, g_max)`. `None` when the KKT gap is below
+    /// tolerance. Row `i` must be resident.
+    ///
+    /// Like the first-order pick, one pass over the base indices keeps a
+    /// `(value, t)` leader per block, taken on `<=` so the later index
+    /// wins a tie, and the α* leader wins a tie between the blocks.
+    fn pick_low(&self, i: usize, g_max: f64) -> Option<usize> {
+        let n = self.n;
+        let row_i = &self.rows.rows[i % n][..n];
+        let (qd_i, c) = (self.qd[i % n], self.params.c);
+        let qd = &self.qd[..n];
+        let (a_lo, a_hi) = self.alpha.split_at(n);
+        let (g_lo, g_hi) = self.grad.split_at(n);
+        // Q_i[s] = y_i y_s K(i, s); `2 y_i y_s` is ±2, so exact.
+        let two_lo = 2.0 * self.y(i);
+        let two_hi = -two_lo;
         let mut g_max2 = f64::NEG_INFINITY;
-        let mut j = usize::MAX;
-        let mut obj_min = f64::INFINITY;
-        // Split the extended space into the α block (y_s = +1, s < n)
-        // and the α* block (y_s = −1) so the inner loop needs no modulo.
-        for s in 0..two_n {
-            let (s_base, y_s) = if s < self.n {
-                (s, 1.0)
-            } else {
-                (s - self.n, -1.0)
-            };
-            let in_low = if y_s > 0.0 {
-                self.alpha[s] > 0.0
-            } else {
-                self.alpha[s] < self.params.c
-            };
-            debug_assert_eq!(in_low, self.in_low(s));
-            if !in_low {
-                continue;
-            }
-            let yg = y_s * self.grad[s];
+        let (mut lo, mut hi) = ((f64::INFINITY, usize::MAX), (f64::INFINITY, usize::MAX));
+        // Offer one variable with `y·G = yg` and `2 y_i y_s = two_yy`.
+        let mut offer = |leader: &mut (f64, usize), t: usize, yg: f64, two_yy: f64| {
             g_max2 = g_max2.max(yg);
             let grad_diff = g_max + yg;
             if grad_diff > 0.0 {
-                // Q_i[s] = y_i y_s K(i, s); quad coefficient of the
-                // two-variable subproblem.
-                let quad = qd_i + self.qd[s_base] - 2.0 * y_i * y_s * row_i[s_base];
+                // Quad coefficient of the two-variable subproblem.
+                let quad = qd_i + qd[t] - two_yy * row_i[t];
                 let quad = if quad > 0.0 { quad } else { TAU };
                 let obj = -(grad_diff * grad_diff) / quad;
-                if obj <= obj_min {
-                    obj_min = obj;
-                    j = s;
+                if obj <= leader.0 {
+                    *leader = (obj, t);
                 }
             }
+        };
+        for t in 0..n {
+            // α_t ∈ I_low above 0, with y·G = G; α*_t below C, with −G.
+            if a_lo[t] > 0.0 {
+                offer(&mut lo, t, g_lo[t], two_lo);
+            }
+            if a_hi[t] < c {
+                offer(&mut hi, t, -g_hi[t], two_hi);
+            }
         }
+        let j = if hi.1 != usize::MAX && hi.0 <= lo.0 {
+            n + hi.1
+        } else {
+            lo.1
+        };
         if g_max + g_max2 < self.params.tol || j == usize::MAX {
             return None;
         }
-        Some((i, j))
+        Some(j)
     }
 
     /// Run SMO to convergence; returns the iteration count.
@@ -599,20 +592,25 @@ impl<'a> Solver<'a> {
         } else {
             self.params.max_iter
         };
-        let c = self.params.c;
+        let (n, c) = (self.n, self.params.c);
+        let mut up = self.pick_up();
         let mut it = 0;
         while it < max_iter {
-            let Some((i, j)) = self.select_working_set() else {
+            let Some((i, g_max)) = up else {
+                break;
+            };
+            let (i_base, y_i) = (i % n, self.y(i));
+            self.rows.fetch(i_base);
+            let Some(j) = self.pick_low(i, g_max) else {
                 break;
             };
             it += 1;
-            let i_base = i % self.n;
-            let j_base = j % self.n;
-            let row_i = self.row(i);
-            let row_j = self.row(j);
-            let k_ij = row_i[j_base];
+            let (j_base, y_j) = (j % n, self.y(j));
+            // Row i was used last, so fetching j never evicts it.
+            self.rows.fetch(j_base);
+            let k_ij = self.rows.rows[i_base][j_base];
             let (old_ai, old_aj) = (self.alpha[i], self.alpha[j]);
-            if self.y[i] != self.y[j] {
+            if y_i != y_j {
                 let quad = (self.qd[i_base] + self.qd[j_base] + 2.0 * k_ij).max(TAU);
                 let delta = (-self.grad[i] - self.grad[j]) / quad;
                 let diff = self.alpha[i] - self.alpha[j];
@@ -661,25 +659,46 @@ impl<'a> Solver<'a> {
                     self.alpha[j] = sum;
                 }
             }
-            // Gradient maintenance: G_t += Q_it Δα_i + Q_jt Δα_j, with
-            // Q_st = y_s y_t K(s, t). The extended space splits into the
-            // α block (y_t = +1) and the α* block (y_t = −1); writing
-            // the two halves as separate tight loops avoids the
-            // per-element modulo and lets the compiler vectorize.
             let d_i = self.alpha[i] - old_ai;
             let d_j = self.alpha[j] - old_aj;
-            if d_i != 0.0 || d_j != 0.0 {
-                let ci = self.y[i] * d_i;
-                let cj = self.y[j] * d_j;
-                let (lo, hi) = self.grad.split_at_mut(self.n);
-                for t in 0..self.n {
-                    let delta = row_i[t] * ci + row_j[t] * cj;
-                    lo[t] += delta;
-                    hi[t] -= delta;
-                }
-            }
+            up = if d_i != 0.0 || d_j != 0.0 {
+                self.update_gradient(i_base, j_base, y_i * d_i, y_j * d_j)
+            } else {
+                // The gradient did not move; only α's signed zeros may
+                // have, which no pick tells apart.
+                self.pick_up()
+            };
+            debug_assert_eq!(up, self.pick_up(), "the fused pick is the scan's");
         }
         it
+    }
+
+    /// Gradient maintenance, `G_t += Q_it Δα_i + Q_jt Δα_j` with
+    /// `Q_st = y_s y_t K(s, t)`, for `ci = y_i Δα_i` and `cj = y_j Δα_j`:
+    /// the α block gains `K_it·ci + K_jt·cj` and the α* block loses it.
+    /// The same pass offers each updated pair to the next iteration's
+    /// first-order pick, which it returns. Rows `i` and `j` must be
+    /// resident.
+    fn update_gradient(
+        &mut self,
+        i_base: usize,
+        j_base: usize,
+        ci: f64,
+        cj: f64,
+    ) -> Option<(usize, f64)> {
+        let n = self.n;
+        let row_i = &self.rows.rows[i_base][..n];
+        let row_j = &self.rows.rows[j_base][..n];
+        let (a_lo, a_hi) = self.alpha.split_at(n);
+        let (g_lo, g_hi) = self.grad.split_at_mut(n);
+        let mut up = UpPick::EMPTY;
+        for t in 0..n {
+            let delta = row_i[t] * ci + row_j[t] * cj;
+            g_lo[t] += delta;
+            g_hi[t] -= delta;
+            up.offer(t, a_lo[t], a_hi[t], g_lo[t], g_hi[t], self.params.c);
+        }
+        up.pick(n)
     }
 
     /// Bias from the KKT conditions (libsvm `calculate_rho`, negated).
@@ -690,15 +709,16 @@ impl<'a> Solver<'a> {
         let mut sum_free = 0.0;
         let mut nr_free = 0usize;
         for s in 0..2 * self.n {
-            let yg = self.y[s] * self.grad[s];
+            let y_s = self.y(s);
+            let yg = y_s * self.grad[s];
             if self.alpha[s] >= c {
-                if self.y[s] < 0.0 {
+                if y_s < 0.0 {
                     ub = ub.min(yg);
                 } else {
                     lb = lb.max(yg);
                 }
             } else if self.alpha[s] <= 0.0 {
-                if self.y[s] > 0.0 {
+                if y_s > 0.0 {
                     ub = ub.min(yg);
                 } else {
                     lb = lb.max(yg);
@@ -717,37 +737,97 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// LRU cache of base-kernel rows.
-struct RowCache {
-    capacity: usize,
-    stamp: u64,
-    rows: HashMap<usize, (std::rc::Rc<Vec<f64>>, u64)>,
+/// The first-order half of the working set: the last `s` in `0..2n`
+/// maximising `−y_s·G_s` over `I_up`, gathered one base index `t` at a
+/// time for both blocks at once. Each block keeps its own `(value, t)`
+/// leader, taken on `>=` so the later index wins a tie; the α* block
+/// comes after the α block in `0..2n`, so it wins a tie between them.
+#[derive(Clone, Copy)]
+struct UpPick {
+    lo: (f64, usize),
+    hi: (f64, usize),
 }
 
-impl RowCache {
-    fn new(capacity: usize) -> RowCache {
-        RowCache {
-            capacity: capacity.max(2),
-            stamp: 0,
-            rows: HashMap::new(),
+impl UpPick {
+    const EMPTY: UpPick = UpPick {
+        lo: (f64::NEG_INFINITY, usize::MAX),
+        hi: (f64::NEG_INFINITY, usize::MAX),
+    };
+
+    /// Offer base index `t`: `α_t` with gradient `g_lo`, `α*_t` with
+    /// gradient `g_hi`.
+    #[inline(always)]
+    fn offer(&mut self, t: usize, a_lo: f64, a_hi: f64, g_lo: f64, g_hi: f64, c: f64) {
+        // α_t ∈ I_up below C, with −y·G = −G; α*_t above 0, with G.
+        if a_lo < c && -g_lo >= self.lo.0 {
+            self.lo = (-g_lo, t);
+        }
+        if a_hi > 0.0 && g_hi >= self.hi.0 {
+            self.hi = (g_hi, t);
         }
     }
 
-    fn get<F: FnOnce() -> Vec<f64>>(&mut self, i: usize, compute: F) -> std::rc::Rc<Vec<f64>> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some((row, s)) = self.rows.get_mut(&i) {
-            *s = stamp;
-            return row.clone();
+    /// `(i, −y_i·G_i)` in extended indexing, or `None` when `I_up` is
+    /// empty.
+    fn pick(self, n: usize) -> Option<(usize, f64)> {
+        if self.hi.1 != usize::MAX && self.hi.0 >= self.lo.0 {
+            Some((n + self.hi.1, self.hi.0))
+        } else if self.lo.1 != usize::MAX {
+            Some((self.lo.1, self.lo.0))
+        } else {
+            None
         }
-        if self.rows.len() >= self.capacity {
-            if let Some((&oldest, _)) = self.rows.iter().min_by_key(|(_, (_, s))| *s) {
-                self.rows.remove(&oldest);
-            }
+    }
+}
+
+/// Base-kernel rows `K(x_i, ·)`, indexed by sample and each computed on
+/// first use. At most `capacity` rows are resident: past that, the
+/// least recently used row is dropped and recomputed on its next use.
+/// A row is a pure function of its index, so eviction changes time,
+/// never bits.
+struct RowStore<'a> {
+    xs: &'a [Vec<f64>],
+    kernel: SvmKernel,
+    capacity: usize,
+    /// Row `i`, or empty while it is not resident.
+    rows: Vec<Vec<f64>>,
+    /// When each row was last fetched.
+    stamps: Vec<u64>,
+    resident: usize,
+    clock: u64,
+}
+
+impl<'a> RowStore<'a> {
+    fn new(xs: &'a [Vec<f64>], kernel: SvmKernel, capacity: usize) -> RowStore<'a> {
+        RowStore {
+            xs,
+            kernel,
+            capacity: capacity.max(2),
+            rows: vec![Vec::new(); xs.len()],
+            stamps: vec![0; xs.len()],
+            resident: 0,
+            clock: 0,
         }
-        let row = std::rc::Rc::new(compute());
-        self.rows.insert(i, (row.clone(), stamp));
-        row
+    }
+
+    /// Make row `i` resident and its most recently used.
+    fn fetch(&mut self, i: usize) {
+        self.clock += 1;
+        self.stamps[i] = self.clock;
+        if !self.rows[i].is_empty() {
+            return;
+        }
+        if self.resident == self.capacity {
+            let oldest = (0..self.rows.len())
+                .filter(|&k| !self.rows[k].is_empty())
+                .min_by_key(|&k| self.stamps[k])
+                .expect("a full store has a resident row");
+            self.rows[oldest] = Vec::new();
+            self.resident -= 1;
+        }
+        let (xs, kernel) = (self.xs, self.kernel);
+        self.rows[i] = xs.iter().map(|x| kernel.eval(&xs[i], x)).collect();
+        self.resident += 1;
     }
 }
 
@@ -880,6 +960,34 @@ mod tests {
         for (x, y) in data.xs().iter().zip(data.ys()) {
             assert!((model.predict(x) - y).abs() < 0.05);
         }
+        // Evicting and recomputing rows changes time, never the model.
+        let roomy = SvrParams {
+            cache_rows: SvrParams::paper_speedup().cache_rows,
+            ..params
+        };
+        assert_eq!(model, train_svr(&data, &roomy));
+    }
+
+    #[test]
+    fn both_picks_give_a_cross_block_tie_to_the_later_index() {
+        // x_1 = 0 is orthogonal to every row, so α_1 and α*_1 offer the
+        // second-order pick the same quad, and with G_3 = −G_1 the same
+        // gain: a `0..2n` scan keeps the later one, α*_1 (s = 3).
+        let mut data = Dataset::new();
+        data.push(vec![1.0], 0.0);
+        data.push(vec![0.0], 0.0);
+        let params = SvrParams {
+            epsilon: 0.0,
+            ..SvrParams::paper_speedup()
+        };
+        let mut solver = Solver::new(&data, &params);
+        // Every variable is in I_up; only α_1 and α*_1 are in I_low.
+        solver.alpha = vec![0.0, 1.0, params.c, 1.0];
+        // −y·G over s = 0..4: −0.5, 0.25, −0.5, 0.25.
+        solver.grad = vec![0.5, -0.25, -0.5, 0.25];
+        assert_eq!(solver.pick_up(), Some((3, 0.25)));
+        solver.rows.fetch(0);
+        assert_eq!(solver.pick_low(0, 1.0), Some(3));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use common::{shutdown, spawn_backend, spawn_router, test_router_config};
 use gpufreq_obs::trace;
 use gpufreq_serve::codec::{parse_trace, TraceEntry};
 use gpufreq_serve::Request;
+use std::sync::OnceLock;
 
 const TRACE_PATH: &str = "tests/acceptance/serve.jsonl";
 
@@ -74,6 +75,44 @@ fn script() -> Vec<String> {
     ]
 }
 
+/// The pinned trace, loaded once for every test in this file. With
+/// `GPUFREQ_BLESS` set, the script is first re-recorded against a bare
+/// daemon (the source of truth the router must match) and the file
+/// rewritten, so no test reads it while it is being rewritten.
+fn pinned_trace() -> &'static [TraceEntry] {
+    static TRACE: OnceLock<Vec<TraceEntry>> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        if std::env::var("GPUFREQ_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
+            bless();
+        }
+        let contents = std::fs::read_to_string(TRACE_PATH).unwrap_or_else(|e| {
+            panic!("{TRACE_PATH}: {e}; record it with GPUFREQ_BLESS=1 cargo test --test acceptance")
+        });
+        parse_trace(&contents).expect("parsing the pinned trace")
+    })
+}
+
+/// Record the script against a fresh daemon into [`TRACE_PATH`].
+fn bless() {
+    let backend = spawn_backend();
+    let mut client = common::connect(backend.addr);
+    let mut blessed = String::from(
+        "# Pinned wire trace: recorded against `gpufreq serve`, replayed\n\
+         # against daemon and router by tests/acceptance.rs. Re-bless with\n\
+         # GPUFREQ_BLESS=1 cargo test --test acceptance\n",
+    );
+    for send in script() {
+        let recv = client.call(&send).expect("blessing the trace");
+        blessed.push_str(&TraceEntry { send, recv }.to_json());
+        blessed.push('\n');
+    }
+    drop(client);
+    shutdown(backend.addr);
+    backend.thread.join().expect("blessing backend thread");
+    std::fs::create_dir_all("tests/acceptance").unwrap();
+    std::fs::write(TRACE_PATH, blessed).unwrap();
+}
+
 /// Replay `entries` against `addr` on one connection, diffing each
 /// response byte-for-byte.
 fn replay(addr: std::net::SocketAddr, entries: &[TraceEntry], target: &str) {
@@ -97,29 +136,7 @@ fn pinned_trace_replays_byte_identically_against_daemon_and_router() {
     let backends = [spawn_backend(), spawn_backend()];
     let router = spawn_router(test_router_config(&[backends[0].addr, backends[1].addr]));
 
-    if std::env::var("GPUFREQ_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
-        // Record the script against a bare daemon — the daemon is the
-        // source of truth the router must match.
-        let mut client = common::connect(backends[0].addr);
-        let mut blessed = String::from(
-            "# Pinned wire trace: recorded against `gpufreq serve`, replayed\n\
-             # against daemon and router by tests/acceptance.rs. Re-bless with\n\
-             # GPUFREQ_BLESS=1 cargo test --test acceptance\n",
-        );
-        for send in script() {
-            let recv = client.call(&send).expect("blessing the trace");
-            blessed.push_str(&TraceEntry { send, recv }.to_json());
-            blessed.push('\n');
-        }
-        std::fs::create_dir_all("tests/acceptance").unwrap();
-        std::fs::write(TRACE_PATH, blessed).unwrap();
-    }
-
-    let contents = std::fs::read_to_string(TRACE_PATH).unwrap_or_else(|e| {
-        panic!("{TRACE_PATH}: {e}; record it with GPUFREQ_BLESS=1 cargo test --test acceptance")
-    });
-    let entries = parse_trace(&contents).expect("parsing the pinned trace");
-
+    let entries = pinned_trace();
     // The pinned requests must match the in-code script — otherwise the
     // trace pins a stale conversation and needs re-blessing.
     let sends: Vec<&str> = entries.iter().map(|e| e.send.as_str()).collect();
@@ -132,14 +149,13 @@ fn pinned_trace_replays_byte_identically_against_daemon_and_router() {
     );
 
     // Byte-identical replays: daemon first (self-consistency incl. the
-    // warm cache), then the router (the scale-out contract). The same
-    // backend also absorbs the bless traffic, so the replay exercises
-    // warm-cache byte-stability too.
-    replay(backends[0].addr, &entries, "daemon");
-    replay(router.addr, &entries, "router");
+    // warm cache: the script repeats its cold predict), then the router
+    // (the scale-out contract).
+    replay(backends[0].addr, entries, "daemon");
+    replay(router.addr, entries, "router");
     // And the router answer is stable across a second pass (warm
     // connection pools, closed circuits).
-    replay(router.addr, &entries, "router (second pass)");
+    replay(router.addr, entries, "router (second pass)");
 
     shutdown(router.addr);
     router.thread.join().expect("router thread");
@@ -159,10 +175,7 @@ fn traced_replay_answers_the_pinned_bytes_plus_the_echoed_trace() {
     let backends = [spawn_backend(), spawn_backend()];
     let router = spawn_router(test_router_config(&[backends[0].addr, backends[1].addr]));
 
-    let contents = std::fs::read_to_string(TRACE_PATH).unwrap_or_else(|e| {
-        panic!("{TRACE_PATH}: {e}; record it with GPUFREQ_BLESS=1 cargo test --test acceptance")
-    });
-    let entries = parse_trace(&contents).expect("parsing the pinned trace");
+    let entries = pinned_trace();
 
     for (target_name, addr) in [("daemon", backends[0].addr), ("router", router.addr)] {
         let mut client = common::connect(addr);
