@@ -8,7 +8,8 @@
 //! number instead of an assertion and a regression in either half is
 //! attributable from the bench output alone. The `cold_predict_stage`
 //! ids below each match one layer of the serving benchmark's traced
-//! replay (`score_block` per head, `to_compact_json`, the Pareto pass).
+//! replay (`score_block` per head, the mem-L point, `to_compact_json`,
+//! the Pareto pass).
 //!
 //! Planners train once in setup with exactly the model `gpufreq serve
 //! --fast` serves ([`ModelConfig::fast`] on the fast corpus at 20
@@ -82,42 +83,72 @@ fn bench_stages(c: &mut Criterion) {
     }
     group.finish();
 
-    // Scoring per head on the Titan X, the `ModelScorer::score_block`
-    // call that the serving benchmark's traced replay times as
+    // Scoring per head, the `ModelScorer::score_block` call that the
+    // serving benchmark's traced replay times as
     // `ml.score_block_us.h<head>`: that head's modeled candidates, as
-    // rows written by `write_scaled_row`, in candidate order.
+    // rows written by `write_scaled_row`, in candidate order. On the
+    // Titan X (three modeled memory clocks) and the P100 (one).
+    for device in [Device::TitanX, Device::TeslaP100] {
+        let planner = planners
+            .iter()
+            .find(|p| p.device() == device)
+            .expect("a planner per device");
+        let scorer = planner.plan().scorer();
+        let boundedness = memory_boundedness(&features);
+        let modeled: Vec<_> = planner
+            .simulator()
+            .spec()
+            .clocks
+            .actual_configs()
+            .into_iter()
+            .filter(|c| c.mem_mhz > MEM_L_MHZ)
+            .collect();
+        let mut group =
+            c.benchmark_group(format!("cold_predict_stage/score_block/{}", device.id()));
+        for head in 0..scorer.num_heads() {
+            let mut block = Vec::new();
+            for config in modeled.iter().filter(|&&c| scorer.head_index(c) == head) {
+                let mut row = [0.0; NUM_FEATURES];
+                let (core, mem) = (config.core_scaled(), config.mem_scaled());
+                scorer.write_scaled_row(&features, boundedness, core, mem, &mut row);
+                block.extend_from_slice(&row);
+            }
+            if block.is_empty() {
+                continue;
+            }
+            let (mut speedup, mut energy) = (Vec::new(), Vec::new());
+            group.bench_function(BenchmarkId::from_parameter(format!("h{head}")), |b| {
+                b.iter(|| scorer.score_block(head, black_box(&block), &mut speedup, &mut energy))
+            });
+        }
+        group.finish();
+    }
+
+    // The mem-L heuristic point on the Titan X, scored alone through
+    // `predict_prepared` as the trace's `core.mem_l_point_us` times it.
     let planner = planners
         .iter()
         .find(|p| p.device() == Device::TitanX)
         .expect("a Titan X planner");
     let scorer = planner.plan().scorer();
+    let clocks = &planner.simulator().spec().clocks;
+    let mem_l = *clocks
+        .actual_configs_for(MEM_L_MHZ)
+        .last()
+        .expect("the Titan X has mem-L clocks");
     let boundedness = memory_boundedness(&features);
-    let modeled: Vec<_> = planner
-        .simulator()
-        .spec()
-        .clocks
-        .actual_configs()
-        .into_iter()
-        .filter(|c| c.mem_mhz > MEM_L_MHZ)
-        .collect();
-    let mut group = c.benchmark_group("cold_predict_stage/score_block/titan-x");
-    for head in 0..scorer.num_heads() {
-        let mut block = Vec::new();
-        for config in modeled.iter().filter(|&&c| scorer.head_index(c) == head) {
-            let mut row = [0.0; NUM_FEATURES];
-            let (core, mem) = (config.core_scaled(), config.mem_scaled());
-            scorer.write_scaled_row(&features, boundedness, core, mem, &mut row);
-            block.extend_from_slice(&row);
-        }
-        if block.is_empty() {
-            continue;
-        }
-        let (mut speedup, mut energy) = (Vec::new(), Vec::new());
-        group.bench_function(BenchmarkId::from_parameter(format!("h{head}")), |b| {
-            b.iter(|| scorer.score_block(head, black_box(&block), &mut speedup, &mut energy))
-        });
-    }
-    group.finish();
+    let head = scorer.head_index(mem_l);
+    c.bench_function("cold_predict_stage/mem_l_point/titan-x", |b| {
+        b.iter(|| {
+            scorer.predict_prepared(
+                black_box(&features),
+                boundedness,
+                mem_l.core_scaled(),
+                mem_l.mem_scaled(),
+                head,
+            )
+        })
+    });
 
     // The rest of the miss path on that Titan X prediction: the answer
     // serialization the trace times as `core.to_compact_json_us`, and

@@ -821,11 +821,11 @@ pub fn generate(opts: &ReportOptions) -> Result<Report> {
                  --jobs value"
             .to_string(),
         scoring: "SVR heads scored along one line per (kernel, memory clock) \
-                  (ScoringPlan: primal-weight linear head, RBF distances expanded in the \
-                  core clock, plain-arithmetic exp, runtime SIMD dispatch); within 1e-12 \
-                  relative of per-point evaluation on the relaxed test preset (2e-11 on \
-                  the served --fast model), so only trailing digits depend on the \
-                  scoring path"
+                  (ScoringPlan: primal-weight linear head, RBF head stepped along the \
+                  device's core-clock grid with a few exps per support vector, \
+                  plain-arithmetic exp, runtime SIMD dispatch); within 1e-12 relative of \
+                  per-point evaluation on the relaxed test preset (2e-11 on the served \
+                  --fast model), so only trailing digits depend on the scoring path"
             .to_string(),
     };
 

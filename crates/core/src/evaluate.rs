@@ -103,7 +103,7 @@ pub fn evaluate_workload(
     model: &FreqScalingModel,
     workload: &Workload,
 ) -> BenchmarkEvaluation {
-    evaluate_workload_scored(sim, &model.scorer(), workload)
+    evaluate_workload_scored(sim, &model.scorer(&sim.spec().clocks), workload)
 }
 
 /// [`evaluate_workload`] with a prebuilt [`ModelScorer`], so a batch of
@@ -221,7 +221,7 @@ pub fn evaluate_all_with(
 ) -> Vec<BenchmarkEvaluation> {
     let inner_sim = sim.clone().with_jobs(engine.inner(workloads.len()).jobs());
     // One scoring plan shared by every worker (read-only).
-    let scorer = model.scorer();
+    let scorer = model.scorer(&sim.spec().clocks);
     let mut evals: Vec<BenchmarkEvaluation> = engine.map(workloads, |w| {
         evaluate_workload_scored(&inner_sim, &scorer, w)
     });
@@ -268,7 +268,7 @@ pub fn error_analysis(
     let clocks = &sim.spec().clocks;
     // One scoring plan for the whole analysis (every domain × eval ×
     // config cell scores through it).
-    let scorer = model.scorer();
+    let scorer = model.scorer(clocks);
     let mut out = Vec::new();
     // Highest memory first, matching the figure layout.
     for mem_mhz in clocks.supported_memory_clocks().into_iter().rev() {

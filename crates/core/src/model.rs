@@ -26,8 +26,9 @@ use gpufreq_kernel::{
     memory_boundedness, FeatureVector, FreqConfig, StaticFeatures, NUM_FEATURES,
     NUM_STATIC_FEATURES,
 };
-use gpufreq_ml::{train_svr, MinMaxScaler, ScoringPlan, SvrModel, SvrParams};
+use gpufreq_ml::{train_svr, LineGrid, MinMaxScaler, Points, ScoringPlan, SvrModel, SvrParams};
 use gpufreq_pareto::Objectives;
+use gpufreq_sim::ClockTable;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for training a [`FreqScalingModel`].
@@ -272,13 +273,15 @@ impl FreqScalingModel {
         serde_json::from_str(s)
     }
 
-    /// Build the batched scoring form of this model: one
-    /// [`ScoringPlan`] per head (the linear head folded into primal
-    /// weights, the others' support vectors flattened), plus the shared
-    /// scaler. Built once per trained model (cheap relative to
-    /// training, ~a vector copy per head) and then scored without
-    /// touching the serde representation again.
-    pub fn scorer(&self) -> ModelScorer {
+    /// Build the batched scoring form of this model for the device
+    /// whose clock table is `clocks`: one [`ScoringPlan`] per head (the
+    /// linear head folded into primal weights, the RBF head's support
+    /// vectors flattened), the shared scaler, and one [`LineGrid`] per
+    /// memory clock of `clocks` — its scaled core clocks — for the RBF
+    /// heads to step along. Built once per trained model and device
+    /// (cheap relative to training, ~a vector copy per head) and then
+    /// scored without touching the serde representation again.
+    pub fn scorer(&self, clocks: &ClockTable) -> ModelScorer {
         ModelScorer {
             domains: self
                 .domains
@@ -286,12 +289,23 @@ impl FreqScalingModel {
                 .map(|d| (d.mem_mhz, d.speedup.scoring_plan(), d.energy.scoring_plan()))
                 .collect(),
             scaler: self.scaler.clone(),
+            grids: clocks
+                .domains
+                .iter()
+                .map(|d| {
+                    let cores = d.actual_core_mhz().into_iter();
+                    let ts = cores.map(|c| FreqConfig::new(d.mem_mhz, c).core_scaled());
+                    let mem = FreqConfig::new(d.mem_mhz, 0).mem_scaled();
+                    (mem.to_bits(), LineGrid::new(ts.collect()))
+                })
+                .collect(),
         }
     }
 }
 
-/// The batched scoring form of a [`FreqScalingModel`]: per-domain
-/// [`ScoringPlan`]s and the shared min-max scaler, scoring a kernel's
+/// The batched scoring form of a [`FreqScalingModel`] on one device:
+/// per-domain [`ScoringPlan`]s, the shared min-max scaler, and the
+/// device's core-clock grid per memory clock, scoring a kernel's
 /// candidates along one line per memory clock.
 ///
 /// At a fixed kernel and memory clock only the core clock varies, and
@@ -300,13 +314,18 @@ impl FreqScalingModel {
 /// no clamp). So a run of such candidates is the line
 /// `origin + core_scaled·dir`, with the origin the scaled row at core 0
 /// and the direction the scaled `∂/∂core`, built once per run and
-/// scored by [`ScoringPlan::score_line_into`].
+/// scored by [`ScoringPlan::score_line_into`]. A candidate on the
+/// device's clock grid of its memory clock is scored as that grid
+/// point, so the RBF energy head steps along the grid instead of
+/// paying one `exp` per (candidate, support vector) pair; any other
+/// core clock (an ad hoc configuration off the table) is scored
+/// directly.
 ///
 /// **Error contract.** Against the scalar
 /// [`FreqScalingModel::predict_objectives`] path the head-selection
 /// rule (first minimal `|mem - domain|`, the order heads were trained
-/// in) is the same; the line and the per-head [`ScoringPlan`]
-/// arithmetic reassociate the sums, so objectives differ in their
+/// in) is the same; the line, the per-head [`ScoringPlan`] arithmetic
+/// and the stepping reassociate the sums, so objectives differ in their
 /// trailing digits. On the test-suite models (`ModelConfig::relaxed()`)
 /// every objective is within 1e-12 relative; on the served
 /// `ModelConfig::fast()` model the worst measured is 8.2e-12 (pinned
@@ -322,6 +341,9 @@ pub struct ModelScorer {
     /// `(mem_mhz, speedup plan, energy plan)` in trained-domain order.
     domains: Vec<(u32, ScoringPlan, ScoringPlan)>,
     scaler: MinMaxScaler,
+    /// `(mem_scaled bits, scaled core-clock grid)` per memory clock of
+    /// the device's clock table.
+    grids: Vec<(u64, LineGrid)>,
 }
 
 /// Where [`ModelScorer::write_scaled_row`] puts the coordinates after
@@ -377,10 +399,8 @@ impl ModelScorer {
         head: usize,
     ) -> Objectives {
         let line = self.line(features, boundedness, mem_scaled);
-        let (_, speedup, energy) = &self.domains[head];
         let (mut s, mut e) = ([0.0], [0.0]);
-        speedup.score_line_into(&line.origin, &line.dir, &[core_scaled], &mut s);
-        energy.score_line_into(&line.origin, &line.dir, &[core_scaled], &mut e);
+        self.score_run(head, &line, mem_scaled, &[core_scaled], &mut s, &mut e);
         Objectives::new(s[0], e[0])
     }
 
@@ -433,7 +453,6 @@ impl ModelScorer {
             "candidate block must be NUM_FEATURES-wide rows"
         );
         let ts: Vec<f64> = rows.iter().map(|row| row[CORE]).collect();
-        let (_, speedup, energy) = &self.domains[head];
         for out in [&mut *speedup_out, &mut *energy_out] {
             out.clear();
             out.resize(rows.len(), 0.0);
@@ -451,16 +470,72 @@ impl ModelScorer {
             );
             let line = self.line(&features, first[BOUNDEDNESS], first[MEM]);
             let span = start..start + run.len();
-            for (plan, out) in [(speedup, &mut *speedup_out), (energy, &mut *energy_out)] {
-                plan.score_line_into(
-                    &line.origin,
-                    &line.dir,
-                    &ts[span.clone()],
-                    &mut out[span.clone()],
-                );
-            }
+            self.score_run(
+                head,
+                &line,
+                first[MEM],
+                &ts[span.clone()],
+                &mut speedup_out[span.clone()],
+                &mut energy_out[span.clone()],
+            );
             start = span.end;
         }
+    }
+
+    /// Score one line at the core clocks `ts`: as grid points when every
+    /// one lies on the device's grid of `mem_scaled`, directly when the
+    /// line holds a single point off it, and row by row otherwise, so
+    /// each row is scored as it would be alone.
+    fn score_run(
+        &self,
+        head: usize,
+        line: &Line,
+        mem_scaled: f64,
+        ts: &[f64],
+        speedup: &mut [f64],
+        energy: &mut [f64],
+    ) {
+        let grid = self
+            .grids
+            .iter()
+            .find(|(mem, _)| *mem == mem_scaled.to_bits())
+            .map(|(_, grid)| grid);
+        // A run in clock-table order sits at consecutive grid indices,
+        // found by one bit comparison per row; anything else searches.
+        let mut at = Vec::new();
+        if let Some(grid) = grid {
+            for &t in ts {
+                let next = at.last().map_or(0, |&k| k + 1);
+                match grid.ts().get(next) {
+                    Some(g) if g.to_bits() == t.to_bits() => at.push(next),
+                    _ => match grid.index_of(t) {
+                        Some(k) => at.push(k),
+                        None => break,
+                    },
+                }
+            }
+        }
+        let points = match grid {
+            Some(grid) if at.len() == ts.len() => Points::Grid(grid, &at),
+            _ if ts.len() == 1 => Points::Free(ts),
+            _ => {
+                for k in 0..ts.len() {
+                    let one = k..k + 1;
+                    self.score_run(
+                        head,
+                        line,
+                        mem_scaled,
+                        &ts[one.clone()],
+                        &mut speedup[one.clone()],
+                        &mut energy[one],
+                    );
+                }
+                return;
+            }
+        };
+        let (_, speedup_plan, energy_plan) = &self.domains[head];
+        speedup_plan.score_line_into(&line.origin, &line.dir, points, speedup);
+        energy_plan.score_line_into(&line.origin, &line.dir, points, energy);
     }
 
     /// The line of scaled model rows for one kernel at one memory

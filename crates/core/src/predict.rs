@@ -171,13 +171,15 @@ pub fn predict_pareto_at(
     clocks: &ClockTable,
     candidates: &[FreqConfig],
 ) -> ParetoPrediction {
-    predict_pareto_scored(&model.scorer(), features, clocks, candidates)
+    predict_pareto_scored(&model.scorer(clocks), features, clocks, candidates)
 }
 
 /// [`predict_pareto_at`] with a prebuilt [`ModelScorer`] — callers that
 /// predict for many kernels against one model (evaluation, error
 /// analysis, serving) build the scorer once and amortize the
-/// support-vector flattening across every call.
+/// support-vector flattening across every call. With a scorer built
+/// for `clocks` ([`FreqScalingModel::scorer`]) the result has the bits
+/// of [`predict_pareto_at`].
 pub fn predict_pareto_scored(
     scorer: &ModelScorer,
     features: &StaticFeatures,
@@ -331,11 +333,13 @@ fn predict_planned(
 }
 
 /// A fully prepared prediction pipeline for one `(model, device,
-/// candidate list)` triple: the batched [`ModelScorer`] plus per-config
-/// metadata, both computed once at build/load time. A cache-miss
-/// predict then costs one analysis plus one scoring sweep — no
-/// per-request support-vector flattening, head lookups, or frequency
-/// scaling. [`TrainedPlanner`](crate::TrainedPlanner) builds one at
+/// candidate list)` triple: the batched [`ModelScorer`] with the
+/// device's core-clock grids, plus per-config metadata, all computed
+/// once at build/load time. A cache-miss predict then costs one
+/// analysis plus one scoring sweep — no per-request support-vector
+/// flattening, grid building, head lookups, or frequency scaling; a
+/// candidate in clock-table order finds its grid index by one bit
+/// comparison. [`TrainedPlanner`](crate::TrainedPlanner) builds one at
 /// train/load time and reuses it for every request.
 #[derive(Debug, Clone)]
 pub struct PredictPlan {
@@ -349,7 +353,7 @@ impl PredictPlan {
     /// Prepare the pipeline for `model` over an explicit candidate
     /// list (see [`predict_pareto_at`] for the candidate semantics).
     pub fn new(model: &FreqScalingModel, clocks: &ClockTable, candidates: &[FreqConfig]) -> Self {
-        let scorer = model.scorer();
+        let scorer = model.scorer(clocks);
         let (modeled, mem_l) = plan_candidates(&scorer, clocks, candidates);
         PredictPlan {
             scorer,

@@ -161,3 +161,22 @@ fn round_trip_preserves_metadata_and_predictions() {
         loaded.predict(&features).unwrap()
     );
 }
+
+#[test]
+fn polynomial_kernel_artifact_is_a_typed_error() {
+    // The SVR kernels are linear and RBF; an artifact whose head names
+    // the removed polynomial kernel is malformed, not silently read as
+    // another kernel.
+    let planner = fast_planner(Device::TitanX);
+    let json = planner.artifact().to_json();
+    let rbf = "{\"Rbf\":{\"gamma\":0.1}}";
+    assert!(json.contains(rbf), "no RBF head in {json}");
+    let polynomial = json.replacen(
+        rbf,
+        "{\"Polynomial\":{\"gamma\":0.1,\"coef0\":1.0,\"degree\":2}}",
+        1,
+    );
+    let err = ModelArtifact::from_json(&polynomial).unwrap_err();
+    assert!(matches!(err, Error::MalformedArtifact { .. }), "{err}");
+    assert!(err.to_string().contains("Polynomial"), "{err}");
+}

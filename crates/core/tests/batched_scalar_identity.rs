@@ -21,7 +21,6 @@ use gpufreq_core::{
 use gpufreq_kernel::{
     memory_boundedness, FreqConfig, StaticFeatures, NUM_FEATURES, NUM_STATIC_FEATURES,
 };
-use gpufreq_ml::{SvmKernel, SvrParams};
 use gpufreq_pareto::{pareto_set_fast, pareto_set_simple, Objectives};
 use gpufreq_sim::{ClockTable, Device};
 use proptest::prelude::*;
@@ -260,31 +259,18 @@ fn served_model_pareto_sets_match_scalar_reference() {
     eprintln!("served model: worst relative objective error {worst:e}");
 }
 
-/// Every kernel family: row `i` of `ModelScorer::score_block` has
-/// exactly the bits `predict_prepared` gives that candidate alone —
-/// the identity the served path and the benchmark's decomposition
-/// check rely on.
+/// Row `i` of `ModelScorer::score_block` has exactly the bits
+/// `predict_prepared` gives that candidate alone — the identity the
+/// served path and the benchmark's decomposition check rely on — with
+/// the energy head stepped along each device's clock grids.
 #[test]
 fn score_block_rows_are_bit_identical_to_predict_prepared() {
-    let polynomial = SvrParams {
-        kernel: SvmKernel::Polynomial {
-            gamma: 0.5,
-            coef0: 1.0,
-            degree: 2,
-        },
-        ..ModelConfig::relaxed().speedup
-    };
-    let polynomial_model = train(ModelConfig {
-        speedup: polynomial,
-        energy: polynomial,
-    });
     let features = random_features(7);
-    for model in [model(), &polynomial_model] {
-        let scorer = model.scorer();
-        for device in Device::all() {
-            let sim = device.simulator();
-            assert_block_rows_match(&scorer, &features, &sim.spec().clocks.actual_configs());
-        }
+    for device in Device::all() {
+        let sim = device.simulator();
+        let clocks = &sim.spec().clocks;
+        let scorer = model().scorer(clocks);
+        assert_block_rows_match(&scorer, &features, &clocks.actual_configs());
     }
 }
 
@@ -329,9 +315,9 @@ fn assert_block_rows_match(
 /// a run never spans rows that lie on different lines.
 #[test]
 fn interleaved_block_rows_are_bit_identical_to_predict_prepared() {
-    let scorer = model().scorer();
     let sim = Device::TitanX.simulator();
     let clocks = &sim.spec().clocks;
+    let scorer = model().scorer(clocks);
     let kernels = [random_features(11), random_features(12)];
     let mems = [3505, 3304];
     let head = scorer.head_index(FreqConfig::new(mems[0], 1001));
@@ -385,5 +371,62 @@ fn interleaved_block_rows_are_bit_identical_to_predict_prepared() {
             single.energy.to_bits(),
             "row {i}: {c:?}"
         );
+    }
+}
+
+/// Core clocks off the device's grid — an ad hoc candidate list — are
+/// scored directly, next to grid rows of the same line that step: every
+/// row of such a mixed block still has exactly the bits
+/// `predict_prepared` gives it alone.
+#[test]
+fn off_grid_block_rows_are_bit_identical_to_predict_prepared() {
+    let sim = Device::TitanX.simulator();
+    let clocks = &sim.spec().clocks;
+    let scorer = model().scorer(clocks);
+    let configs: Vec<FreqConfig> = clocks
+        .actual_configs_for(3505)
+        .iter()
+        .flat_map(|c| [*c, FreqConfig::new(c.mem_mhz, c.core_mhz + 1)])
+        .collect();
+    assert_block_rows_match(&scorer, &random_features(13), &configs);
+}
+
+/// A kernel whose features lie far outside the scaler's `lo`/`hi`
+/// puts its lines far from every support vector, so the stepping guard
+/// sends them to the direct lanes: its scores are finite and have
+/// exactly the bits of a scorer with no grids, which scores every
+/// candidate directly.
+#[test]
+fn far_out_kernels_score_as_the_direct_lanes() {
+    let sim = Device::TitanX.simulator();
+    let clocks = &sim.spec().clocks;
+    let stepped = model().scorer(clocks);
+    let direct = model().scorer(&ClockTable {
+        domains: Vec::new(),
+        default: clocks.default,
+    });
+    let far = StaticFeatures::from_values(random_features(17).values().map(|v| v * 1e4 + 50.0));
+    let boundedness = memory_boundedness(&far);
+    let configs = clocks.actual_configs();
+    for head in 0..stepped.num_heads() {
+        let owned: Vec<FreqConfig> = configs
+            .iter()
+            .copied()
+            .filter(|&c| stepped.head_index(c) == head)
+            .collect();
+        let mut block = vec![0.0; owned.len() * NUM_FEATURES];
+        for (c, row) in owned.iter().zip(block.chunks_exact_mut(NUM_FEATURES)) {
+            let row = row.try_into().expect("row is NUM_FEATURES wide");
+            stepped.write_scaled_row(&far, boundedness, c.core_scaled(), c.mem_scaled(), row);
+        }
+        let (mut speedup, mut energy) = (Vec::new(), Vec::new());
+        let (mut want_speedup, mut want_energy) = (Vec::new(), Vec::new());
+        stepped.score_block(head, &block, &mut speedup, &mut energy);
+        direct.score_block(head, &block, &mut want_speedup, &mut want_energy);
+        for (got, want) in energy.iter().zip(&want_energy) {
+            assert!(got.is_finite(), "head {head}: {got}");
+            assert_eq!(got.to_bits(), want.to_bits(), "head {head}");
+        }
+        assert_eq!(speedup, want_speedup);
     }
 }

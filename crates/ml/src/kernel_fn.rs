@@ -13,15 +13,6 @@ pub enum SvmKernel {
         /// Width parameter γ.
         gamma: f64,
     },
-    /// `K(a, b) = (γ a·b + c₀)^d` — provided for ablations.
-    Polynomial {
-        /// Scale γ.
-        gamma: f64,
-        /// Offset c₀.
-        coef0: f64,
-        /// Degree d.
-        degree: u32,
-    },
 }
 
 impl SvmKernel {
@@ -29,22 +20,13 @@ impl SvmKernel {
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         match *self {
-            SvmKernel::Linear => dot(a, b),
+            SvmKernel::Linear => a.iter().zip(b).map(|(x, y)| x * y).sum(),
             SvmKernel::Rbf { gamma } => {
                 let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
                 (-gamma * d2).exp()
             }
-            SvmKernel::Polynomial {
-                gamma,
-                coef0,
-                degree,
-            } => (gamma * dot(a, b) + coef0).powi(degree as i32),
         }
     }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -72,16 +54,5 @@ mod tests {
         let k = SvmKernel::Rbf { gamma: 0.5 };
         let (a, b) = ([0.2, 0.9, -1.0], [1.0, 0.0, 0.5]);
         assert_eq!(k.eval(&a, &b), k.eval(&b, &a));
-    }
-
-    #[test]
-    fn polynomial_degrees() {
-        let k = SvmKernel::Polynomial {
-            gamma: 1.0,
-            coef0: 1.0,
-            degree: 2,
-        };
-        // (1*1 + 1)^2 = 4
-        assert_eq!(k.eval(&[1.0], &[1.0]), 4.0);
     }
 }

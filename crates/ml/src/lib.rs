@@ -49,4 +49,4 @@ pub use linear::{solve_linear_system, train_ols, train_ridge, LinearModel};
 pub use metrics::{mae, percent_errors, r2, rmse, rmse_percent, BoxStats};
 pub use poly::{expand, train_poly, PolyModel};
 pub use scale::MinMaxScaler;
-pub use svr::{train_svr, ScoringPlan, SvrModel, SvrParams};
+pub use svr::{train_svr, LineGrid, Points, ScoringPlan, SvrModel, SvrParams};

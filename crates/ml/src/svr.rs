@@ -144,26 +144,33 @@ impl SvrModel {
     }
 
     /// Build the precomputed scoring form of this model: a linear
-    /// model folded into its primal weights `w = Σ βᵢ·svᵢ`, any other
-    /// kernel's support vectors flattened into one feature-major matrix.
+    /// model folded into its primal weights `w = Σ βᵢ·svᵢ`, an RBF
+    /// model's support vectors flattened into one feature-major matrix.
     /// Build it once per model, score many candidate lines — see
     /// [`ScoringPlan`] for the error contract.
     pub fn scoring_plan(&self) -> ScoringPlan {
         let dims = self.support_x.first().map_or(0, Vec::len);
+        let n = self.support_x.len();
         let (mut sv, mut w) = (Vec::new(), Vec::new());
-        if self.kernel == SvmKernel::Linear {
-            w = vec![0.0; dims];
-            for (row, &b) in self.support_x.iter().zip(&self.beta) {
-                for (wj, &v) in w.iter_mut().zip(row) {
-                    *wj += b * v;
+        let mut beta = self.beta.clone();
+        match self.kernel {
+            SvmKernel::Linear => {
+                w = vec![0.0; dims];
+                for (row, &b) in self.support_x.iter().zip(&self.beta) {
+                    for (wj, &v) in w.iter_mut().zip(row) {
+                        *wj += b * v;
+                    }
                 }
             }
-        } else {
-            let n = self.support_x.len();
-            sv = vec![0.0; dims * n];
-            for (i, row) in self.support_x.iter().enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    sv[j * n + i] = v;
+            SvmKernel::Rbf { .. } => {
+                // Padded with zero-weight support vectors to whole blocks.
+                let np = n.next_multiple_of(LANES);
+                beta.resize(np, 0.0);
+                sv = vec![0.0; dims * np];
+                for (i, row) in self.support_x.iter().enumerate() {
+                    for (j, &v) in row.iter().enumerate() {
+                        sv[j * np + i] = v;
+                    }
                 }
             }
         }
@@ -172,7 +179,8 @@ impl SvrModel {
             dims,
             sv,
             w,
-            beta: self.beta.clone(),
+            beta,
+            num_sv: n,
             bias: self.bias,
         }
     }
@@ -229,37 +237,179 @@ pub fn train_svr(data: &Dataset, params: &SvrParams) -> SvrModel {
 /// `w = Σ βᵢ·svᵢ`, and every term that does not depend on `t` is
 /// computed once per line instead of once per candidate.
 ///
-/// **Error contract.** Against the scalar [`SvrModel::predict`] at
-/// `origin + t·dir` the plan is close, not bit-identical: folding `w`
-/// and expanding `‖sv − x(t)‖²` in `t` reassociate the sums and the
-/// `exp` may differ by an ulp, so for `t` in the scaled-clock range
-/// `[0, 1]` scores agree to 1e-12 of the sum's magnitude
-/// `|bias| + Σ|βᵢ·K|` (pinned by proptest). Between the plan's own
-/// calls the contract is exact: lane `k` of
-/// [`score_line_into`](ScoringPlan::score_line_into) has the bits of the
-/// same line scored with `ts = [ts[k]]`, at every line length and SIMD
-/// tier.
-///
 /// **Where the speed comes from.** Per line the plan computes
 /// `R = ‖dir‖²`, and per support vector `Pᵢ = ‖svᵢ − origin‖²` and
-/// `Qᵢ = ⟨svᵢ − origin, dir⟩`; a candidate then costs
-/// `exp(−γ·(Pᵢ + t·(t·R − 2Qᵢ)))` — a handful of flops and the `exp` —
-/// instead of a full-width squared distance. Support vectors sweep in
-/// the outer loop and the candidates `ts` in the inner one, every lane
-/// running the same elementwise chain with no cross-lane reduction,
-/// which the compiler turns into SIMD, the `exp` included (runtime
-/// AVX-512F/AVX2 dispatch).
+/// `Qᵢ = ⟨svᵢ − origin, dir⟩`, so that `Kᵢ(t) = exp(−γ·(Pᵢ + t·(t·R −
+/// 2Qᵢ)))`. Scored directly ([`Points::Free`]) that is one `exp` per
+/// (candidate, support vector) pair. On a [`LineGrid`]
+/// ([`Points::Grid`]) the RBF head instead steps along the grid: with
+/// `s = t − t₀` from the grid's first point,
+///
+/// `score(t) = bias + exp(−γ·R·s²) · Σᵢ wᵢ·gᵢ(s)`, `wᵢ = βᵢ·Kᵢ(t₀)`,
+/// `gᵢ(s) = exp(uᵢ·s)`, `uᵢ = 2γ·(Qᵢ − t₀·R)`,
+///
+/// and `gᵢ` moves from one grid point to the next by one multiply with
+/// `exp(uᵢ·Δ)`. The grid groups its gaps by value, so a line costs one
+/// `exp` per support vector for `wᵢ`, one per support vector and
+/// distinct gap (four on the Titan X and P100 clock grids), and one per
+/// candidate for `exp(−γ·R·s²)`, instead of one per pair. Support
+/// vectors run in blocks of eight lanes, each lane an elementwise chain
+/// and the blocks reduced by one fixed tree, so the compiler vectorises
+/// the loops, the plain-arithmetic `exp` included (runtime AVX-512F/AVX2
+/// dispatch), and the bits do not depend on the register width.
+///
+/// **Guard.** The stepped form multiplies three factors that can each
+/// be far from one. A line whose anchor exponent `−γ·‖svᵢ − x(t₀)‖²`
+/// is below −600, whose `|uᵢ|·span` or `γ·R·span²` is above 600, or
+/// whose `|uᵢ|` times the grid's accumulated step drift (see
+/// [`LineGrid`]) is above 1e-13, is scored directly instead, every
+/// lane of it. So is every line on a grid that has more than eight
+/// distinct gaps or too few points for stepping to save `exp`s. The
+/// decision depends only on the line and the grid.
+///
+/// **Error contract.** Against the scalar [`SvrModel::predict`] at
+/// `origin + t·dir` the plan is close, not bit-identical: folding `w`,
+/// expanding `‖sv − x(t)‖²` in `t` and stepping reassociate the sums,
+/// and the `exp` may differ by an ulp. For `t` in the scaled-clock
+/// range `[0, 1]` a directly scored point agrees to 1e-12 of the sum's
+/// magnitude `|bias| + Σ|βᵢ·K|`, and a stepped grid point agrees with
+/// the directly scored one to the same bound (both pinned by proptest).
+/// Between the plan's own calls the contract is exact: a lane of
+/// [`score_line_into`](ScoringPlan::score_line_into) has the bits of
+/// the same line scored at that point alone — at grid index `k` with
+/// the same grid, or at `t` for a free point — at every line length and
+/// SIMD tier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoringPlan {
     kernel: SvmKernel,
     dims: usize,
-    /// Feature-major `dims × num_support_vectors` support-vector matrix
-    /// (empty for the linear kernel, which scores through `w`).
+    /// Feature-major `dims × beta.len()` support-vector matrix (empty
+    /// for the linear kernel, which scores through `w`).
     sv: Vec<f64>,
     /// The linear kernel's primal weights `Σ βᵢ·svᵢ` (empty otherwise).
     w: Vec<f64>,
+    /// `β`, padded for the RBF kernel with zeros to whole blocks of
+    /// [`LANES`] support vectors.
     beta: Vec<f64>,
+    num_sv: usize,
     bias: f64,
+}
+
+/// Where along a line `origin + t·dir` a [`ScoringPlan`] scores.
+#[derive(Debug, Clone, Copy)]
+pub enum Points<'a> {
+    /// The grid points `grid.ts()[k]`, one per index `k`, in any order.
+    Grid(&'a LineGrid, &'a [usize]),
+    /// Arbitrary points `t`, each scored directly.
+    Free(&'a [f64]),
+}
+
+impl Points<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Points::Grid(_, at) => at.len(),
+            Points::Free(ts) => ts.len(),
+        }
+    }
+}
+
+/// The points of one line at which candidates sit: finite, strictly
+/// ascending `t₀ < t₁ < …` (in the served path, the scaled core clocks
+/// of one memory clock). Built once and scored against many lines, it
+/// groups the gaps between neighbouring points by value — within 1e-9 relative, since
+/// equal clock steps differ in their last bits once scaled — so the
+/// RBF head can step from point to point (see [`ScoringPlan`]). Each
+/// gap then counts as the first gap of its group; the grid records how
+/// far the sum of those stand-ins drifts from the true offset `tₖ − t₀`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LineGrid {
+    ts: Vec<f64>,
+    /// The distinct gaps, each as its first occurrence (empty when the
+    /// grid is scored directly).
+    steps: Vec<f64>,
+    /// Gap `k → k + 1` as an index into `steps`.
+    gap_step: Vec<u8>,
+    /// `t_last − t₀`.
+    span: f64,
+    /// `max |Σ_{j<k} step(j) − (tₖ − t₀)|` over the grid.
+    drift: f64,
+}
+
+/// Most distinct gaps a stepped grid may have.
+const MAX_STEPS: usize = 8;
+/// Gaps within this relative distance of each other step as one.
+const STEP_TOLERANCE: f64 = 1e-9;
+/// Largest magnitude of the exponent of any one stepped factor.
+const EXPONENT_LIMIT: f64 = 600.0;
+/// Largest exponent error the grid's step drift may cause.
+const DRIFT_LIMIT: f64 = 1e-13;
+
+impl LineGrid {
+    /// Group the gaps of `ts`.
+    ///
+    /// # Panics
+    /// If `ts` is empty, or not finite and strictly ascending.
+    pub fn new(ts: Vec<f64>) -> LineGrid {
+        assert!(
+            !ts.is_empty()
+                && ts.iter().all(|t| t.is_finite())
+                && ts.windows(2).all(|w| w[0] < w[1]),
+            "grid points must be finite and strictly ascending"
+        );
+        let (mut steps, mut gap_step) = (Vec::new(), Vec::new());
+        let (mut stepped_sum, mut drift) = (0.0, 0.0f64);
+        for (k, w) in ts.windows(2).enumerate() {
+            let gap = w[1] - w[0];
+            let class = match steps
+                .iter()
+                .position(|&s: &f64| (gap - s).abs() <= STEP_TOLERANCE * s)
+            {
+                Some(c) => c,
+                None => {
+                    steps.push(gap);
+                    steps.len() - 1
+                }
+            };
+            if steps.len() > MAX_STEPS {
+                break;
+            }
+            gap_step.push(class as u8);
+            stepped_sum += steps[class];
+            drift = drift.max((stepped_sum - (ts[k + 1] - ts[0])).abs());
+        }
+        // Stepping costs one `exp` per support vector and distinct gap
+        // plus one for the anchor; it pays only on a grid with at least
+        // twice as many points.
+        if steps.len() > MAX_STEPS || 2 * (steps.len() + 1) > ts.len() {
+            steps.clear();
+            gap_step.clear();
+        }
+        let span = ts[ts.len() - 1] - ts[0];
+        LineGrid {
+            ts,
+            steps,
+            gap_step,
+            span,
+            drift,
+        }
+    }
+
+    /// The grid points, ascending.
+    pub fn ts(&self) -> &[f64] {
+        &self.ts
+    }
+
+    /// The index of the grid point with exactly the bits of `t`.
+    pub fn index_of(&self, t: f64) -> Option<usize> {
+        let k = self.ts.partition_point(|&g| g < t);
+        (self.ts.get(k)?.to_bits() == t.to_bits()).then_some(k)
+    }
+
+    /// Whether lines on this grid are stepped (subject to the per-line
+    /// guard) rather than scored directly.
+    pub fn is_stepped(&self) -> bool {
+        !self.gap_step.is_empty()
+    }
 }
 
 impl ScoringPlan {
@@ -271,27 +421,40 @@ impl ScoringPlan {
 
     /// Number of support vectors in the plan.
     pub fn num_support_vectors(&self) -> usize {
-        self.beta.len()
+        self.num_sv
     }
 
     /// Score one point: the line through `x` with `dir = 0`, at `t = 0`.
     pub fn score(&self, x: &[f64]) -> f64 {
         let mut out = [0.0];
-        self.score_line_into(x, &vec![0.0; x.len()], &[0.0], &mut out);
+        let dir = vec![0.0; x.len()];
+        self.score_line_into(x, &dir, Points::Free(&[0.0]), &mut out);
         out[0]
     }
 
-    /// Score the points `origin + t·dir`, one per `t` in `ts`, into the
-    /// same slot of `out`. Each lane has exactly the bits of the same
-    /// line scored with that `t` alone (see the type-level docs). A plan
+    /// Score the points `origin + t·dir`, one per entry of `points`, into
+    /// the same slot of `out`. Each lane has exactly the bits of the same
+    /// line scored at that point alone (see the type-level docs). A plan
     /// with no support vectors scores every point as its bias, whatever
     /// the line's width.
     ///
     /// # Panics
-    /// If `out` and `ts` differ in length, or `origin` or `dir` is not
-    /// [`dims`](ScoringPlan::dims) wide.
-    pub fn score_line_into(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), ts.len(), "one output slot per point");
+    /// If `out` and `points` differ in length, `origin` or `dir` is not
+    /// [`dims`](ScoringPlan::dims) wide, or a grid index is out of range.
+    pub fn score_line_into(
+        &self,
+        origin: &[f64],
+        dir: &[f64],
+        points: Points<'_>,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), points.len(), "one output slot per point");
+        if let Points::Grid(grid, at) = points {
+            assert!(
+                at.iter().all(|&k| k < grid.ts.len()),
+                "grid index out of range"
+            );
+        }
         if self.dims == 0 {
             out.fill(self.bias);
             return;
@@ -311,79 +474,183 @@ impl ScoringPlan {
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: reached only when the CPU reports AVX-512F.
-                return unsafe { self.sweep_avx512(origin, dir, ts, out) };
+                return unsafe { self.sweep_avx512(origin, dir, points, out) };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: reached only when the CPU reports AVX2.
-                return unsafe { self.sweep_avx2(origin, dir, ts, out) };
+                return unsafe { self.sweep_avx2(origin, dir, points, out) };
             }
         }
-        self.sweep(origin, dir, ts, out);
+        self.sweep(origin, dir, points, out);
     }
 
     /// The line sweep body. Marked `inline(always)` so the
     /// `target_feature` wrappers re-vectorize it at their ISA width.
     #[inline(always)]
-    fn sweep(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
-        let (rbf, gamma, coef0, degree) = match self.kernel {
+    fn sweep(&self, origin: &[f64], dir: &[f64], points: Points<'_>, out: &mut [f64]) {
+        let gamma = match self.kernel {
             SvmKernel::Linear => {
                 let (at0, slope) = (self.bias + dot(&self.w, origin), dot(&self.w, dir));
-                for (acc, &t) in out.iter_mut().zip(ts) {
-                    *acc = at0 + t * slope;
+                let lane = |t: f64| at0 + t * slope;
+                match points {
+                    Points::Grid(grid, at) => {
+                        for (acc, &k) in out.iter_mut().zip(at) {
+                            *acc = lane(grid.ts[k]);
+                        }
+                    }
+                    Points::Free(ts) => {
+                        for (acc, &t) in out.iter_mut().zip(ts) {
+                            *acc = lane(t);
+                        }
+                    }
                 }
                 return;
             }
-            SvmKernel::Rbf { gamma } => (true, gamma, 0.0, 0),
-            SvmKernel::Polynomial {
-                gamma,
-                coef0,
-                degree,
-            } => (false, gamma, coef0, degree as i32),
+            SvmKernel::Rbf { gamma } => gamma,
         };
-        // The line's two terms per support vector, folded in feature
-        // order with all support vectors in lock-step over the
-        // feature-major matrix: RBF `P = ‖sv − o‖²` and `Q = ⟨sv − o, d⟩`,
-        // polynomial `⟨sv, o⟩` and `⟨sv, d⟩`.
-        let n = self.beta.len();
-        let (mut at0, mut slope) = (vec![0.0; n], vec![0.0; n]);
-        for ((col, &o), &d) in self.sv.chunks_exact(n).zip(origin).zip(dir) {
-            let terms = at0.iter_mut().zip(&mut slope).zip(col);
-            if rbf {
-                for ((p, q), &s) in terms {
-                    let e = s - o;
-                    *p += e * e;
-                    *q += e * d;
-                }
-            } else {
-                for ((a, b), &s) in terms {
-                    *a += s * o;
-                    *b += s * d;
+        let (p, q) = self.line_terms(origin, dir);
+        let line = RbfLine {
+            gamma,
+            p: &p,
+            q: &q,
+            r: dot(dir, dir),
+        };
+        match points {
+            Points::Free(ts) => self.direct(&line, ts, out),
+            Points::Grid(grid, at) => {
+                if !self.step(&line, grid, at, out) {
+                    let ts: Vec<f64> = at.iter().map(|&k| grid.ts[k]).collect();
+                    self.direct(&line, &ts, out);
                 }
             }
         }
-        // Candidates padded to whole registers with `t = 0` lanes, which
-        // are scored but never copied out: the vector body then covers
-        // every candidate, with no scalar remainder.
-        let np = ts.len().next_multiple_of(LANES);
-        let (mut t, mut acc) = (vec![0.0; np], vec![self.bias; np]);
-        t[..ts.len()].copy_from_slice(ts);
-        let terms = at0.iter().zip(&slope).zip(&self.beta);
-        if rbf {
-            let r = dot(dir, dir);
-            for ((&p, &q), &b) in terms {
-                let q2 = 2.0 * q;
-                for (acc, &t) in acc.iter_mut().zip(&t) {
-                    *acc += b * exp(-gamma * (p + t * (t * r - q2)));
-                }
-            }
-        } else {
-            for ((&a, &s), &b) in terms {
-                for (acc, &t) in acc.iter_mut().zip(&t) {
-                    *acc += b * (gamma * (a + t * s) + coef0).powi(degree);
-                }
+    }
+
+    /// The line's two terms per support vector, `P = ‖sv − o‖²` and
+    /// `Q = ⟨sv − o, d⟩`, folded in feature order with all support
+    /// vectors in lock-step over the feature-major matrix.
+    #[inline(always)]
+    fn line_terms(&self, origin: &[f64], dir: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let np = self.beta.len();
+        let (mut p, mut q) = (vec![0.0; np], vec![0.0; np]);
+        for ((col, &o), &d) in self.sv.chunks_exact(np).zip(origin).zip(dir) {
+            for ((p, q), &s) in p.iter_mut().zip(&mut q).zip(col) {
+                let e = s - o;
+                *p += e * e;
+                *q += e * d;
             }
         }
-        out.copy_from_slice(&acc[..ts.len()]);
+        p.truncate(self.num_sv);
+        q.truncate(self.num_sv);
+        (p, q)
+    }
+
+    /// Score each `t` directly, one `exp` per (candidate, support
+    /// vector) pair: per candidate, every support vector's term in one
+    /// loop, then the blocks summed lane-wise and the lanes by
+    /// [`tree_sum`].
+    #[inline(always)]
+    fn direct(&self, line: &RbfLine<'_>, ts: &[f64], out: &mut [f64]) {
+        let RbfLine { gamma, p, q, r } = *line;
+        // Padded support vectors keep a zero term.
+        let mut terms = vec![0.0; self.beta.len()];
+        for (o, &t) in out.iter_mut().zip(ts) {
+            for ((k, &b), (&p, &q)) in terms.iter_mut().zip(&self.beta).zip(p.iter().zip(q)) {
+                *k = b * exp(-gamma * (p + t * (t * r - 2.0 * q)));
+            }
+            let (blocks, _) = terms.as_chunks::<LANES>();
+            let sum = blocks.iter().fold([0.0; LANES], |acc, block| {
+                std::array::from_fn(|j| acc[j] + block[j])
+            });
+            *o = self.bias + tree_sum(&sum);
+        }
+    }
+
+    /// Score the grid points `at` by stepping each support vector's
+    /// kernel along `grid` (see the type-level docs). Every lane up to
+    /// the largest index in `at` is computed the same way whichever of
+    /// them are asked for, so a lane's bits depend only on the line, the
+    /// grid and its index. Returns `false`, having written nothing, when
+    /// the grid or the guard sends the line to [`direct`](Self::direct).
+    #[inline(always)]
+    fn step(&self, line: &RbfLine<'_>, grid: &LineGrid, at: &[usize], out: &mut [f64]) -> bool {
+        let RbfLine { gamma, p, q, r } = *line;
+        let Some(last) = at.iter().max().map(|&k| k + 1) else {
+            return true;
+        };
+        if !grid.is_stepped() {
+            return false;
+        }
+        // Per support vector: the anchor exponent `−γ·‖sv − x(t₀)‖²` and
+        // the slope `u` of the stepped factor. The padding keeps both at
+        // zero, so its zero weights step as `0·1`.
+        let t0 = grid.ts[0];
+        let np = self.beta.len();
+        let (mut anchor, mut slope) = (vec![0.0; np], vec![0.0; np]);
+        let mut fits = gamma * r * grid.span * grid.span <= EXPONENT_LIMIT;
+        for (((a, u), &p), &q) in anchor.iter_mut().zip(&mut slope).zip(p).zip(q) {
+            *a = -gamma * (p + t0 * (t0 * r - 2.0 * q));
+            *u = 2.0 * gamma * (q - t0 * r);
+            fits &= *a >= -EXPONENT_LIMIT
+                && u.abs() * grid.span <= EXPONENT_LIMIT
+                && u.abs() * grid.drift <= DRIFT_LIMIT;
+        }
+        if !fits {
+            return false;
+        }
+        // The weights `wᵢ = βᵢ·exp(anchor)` and the step factors
+        // `exp(uᵢ·Δ)`, each `exp` in a loop over every support vector so
+        // that it vectorises.
+        let mut weight = anchor;
+        for (w, &b) in weight.iter_mut().zip(&self.beta) {
+            *w = b * exp(*w);
+        }
+        let mut factors = vec![0.0; grid.steps.len() * np];
+        for (m, &step) in factors.chunks_exact_mut(np).zip(&grid.steps) {
+            for (m, &u) in m.iter_mut().zip(&slope) {
+                *m = exp(u * step);
+            }
+        }
+        let (weight, _) = weight.as_chunks::<LANES>();
+        let (factors, _) = factors.as_chunks::<LANES>();
+        // Lane `k` is `bias + exp(−γ·R·s²)·Σ w·g`, the sum walked along
+        // the grid with every block's `g` in step: at each point, add
+        // `w·g` into four accumulators (block `b` into `b mod 4`, in
+        // block order), then advance `g` by the gap's factors. Blocks
+        // are independent, so the multiply chains overlap.
+        let mut lanes: Vec<f64> = grid.ts[..last]
+            .iter()
+            .map(|&t| {
+                let s = t - t0;
+                exp(-gamma * (r * (s * s)))
+            })
+            .collect();
+        let blocks = weight.len();
+        let mut g = vec![[1.0; LANES]; blocks];
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let class = grid.gap_step.get(k).map_or(0, |&c| usize::from(c));
+            let m = &factors[class * blocks..][..blocks];
+            let mut acc = [[0.0; LANES]; 4];
+            let (w4, w1) = weight.as_chunks::<4>();
+            let (g4, g1) = g.as_chunks_mut::<4>();
+            let (m4, m1) = m.as_chunks::<4>();
+            for ((w, g), m) in w4.iter().zip(g4).zip(m4) {
+                for i in 0..4 {
+                    acc[i] = std::array::from_fn(|j| acc[i][j] + w[i][j] * g[i][j]);
+                    g[i] = std::array::from_fn(|j| g[i][j] * m[i][j]);
+                }
+            }
+            for (i, ((w, g), m)) in w1.iter().zip(g1).zip(m1).enumerate() {
+                acc[i] = std::array::from_fn(|j| acc[i][j] + w[j] * g[j]);
+                *g = std::array::from_fn(|j| g[j] * m[j]);
+            }
+            let sum = std::array::from_fn(|j| (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]));
+            *lane = self.bias + *lane * tree_sum(&sum);
+        }
+        for (o, &k) in out.iter_mut().zip(at) {
+            *o = lanes[k];
+        }
+        true
     }
 
     /// [`sweep`](Self::sweep) compiled for AVX2 (4 f64 lanes).
@@ -395,8 +662,8 @@ impl ScoringPlan {
     // the AVX2-encoded body is UB on older CPUs.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_avx2(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
-        self.sweep(origin, dir, ts, out);
+    unsafe fn sweep_avx2(&self, origin: &[f64], dir: &[f64], points: Points<'_>, out: &mut [f64]) {
+        self.sweep(origin, dir, points, out);
     }
 
     /// [`sweep`](Self::sweep) compiled for AVX-512F (8 f64 lanes).
@@ -408,14 +675,35 @@ impl ScoringPlan {
     // executing the AVX-512-encoded body is UB on older CPUs.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx512f")]
-    unsafe fn sweep_avx512(&self, origin: &[f64], dir: &[f64], ts: &[f64], out: &mut [f64]) {
-        self.sweep(origin, dir, ts, out);
+    unsafe fn sweep_avx512(
+        &self,
+        origin: &[f64],
+        dir: &[f64],
+        points: Points<'_>,
+        out: &mut [f64],
+    ) {
+        self.sweep(origin, dir, points, out);
     }
 }
 
-/// Candidates per register of the line sweep: eight f64 lanes fill one
+/// One line's per-support-vector RBF terms (see [`ScoringPlan`]).
+#[derive(Clone, Copy)]
+struct RbfLine<'a> {
+    gamma: f64,
+    p: &'a [f64],
+    q: &'a [f64],
+    r: f64,
+}
+
+/// Lanes per register of the line sweep: eight f64 lanes fill one
 /// 512-bit (or two 256-bit) register.
 const LANES: usize = 8;
+
+/// The lanes of `v` summed by one fixed tree.
+#[inline(always)]
+fn tree_sum(v: &[f64; LANES]) -> f64 {
+    ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]))
+}
 
 /// `⟨a, b⟩` folded from zero in feature order.
 #[inline(always)]
@@ -1002,18 +1290,23 @@ mod tests {
         vec![
             train_svr(&data, &SvrParams::paper_speedup()),
             train_svr(&data, &SvrParams::paper_energy()),
-            train_svr(
-                &data,
-                &SvrParams {
-                    kernel: SvmKernel::Polynomial {
-                        gamma: 0.5,
-                        coef0: 1.0,
-                        degree: 2,
-                    },
-                    ..SvrParams::paper_speedup()
-                },
-            ),
         ]
+    }
+
+    /// Core clocks in whole MHz from `lo` by a repeating pattern of
+    /// steps, scaled to `[0, 1]` over 135–1189 MHz as the served rows
+    /// scale them: equal MHz steps, unequal in their last bits.
+    fn clock_grid(lo: u32, pattern: &[u32], n: usize) -> LineGrid {
+        let mut mhz = lo;
+        let ts = (0..n)
+            .map(|k| {
+                if k > 0 {
+                    mhz += pattern[(k - 1) % pattern.len()];
+                }
+                (f64::from(mhz) - 135.0) / (1189.0 - 135.0)
+            })
+            .collect();
+        LineGrid::new(ts)
     }
 
     #[test]
@@ -1048,11 +1341,93 @@ mod tests {
             for n in [1, 3, 8, 11, 32, 71] {
                 let ts: Vec<f64> = (0..n).map(|k| k as f64 / n as f64).collect();
                 let mut out = vec![0.0; n];
-                plan.score_line_into(&origin, &dir, &ts, &mut out);
+                plan.score_line_into(&origin, &dir, Points::Free(&ts), &mut out);
                 for (&t, got) in ts.iter().zip(&out) {
                     let mut single = [0.0];
-                    plan.score_line_into(&origin, &dir, &[t], &mut single);
+                    plan.score_line_into(&origin, &dir, Points::Free(&[t]), &mut single);
                     assert_eq!(got.to_bits(), single[0].to_bits());
+                }
+                let grid = clock_grid(135, &[12, 15, 16, 18], n);
+                let at: Vec<usize> = (0..n).rev().collect();
+                plan.score_line_into(&origin, &dir, Points::Grid(&grid, &at), &mut out);
+                for (&k, got) in at.iter().zip(&out) {
+                    let mut single = [0.0];
+                    plan.score_line_into(&origin, &dir, Points::Grid(&grid, &[k]), &mut single);
+                    assert_eq!(got.to_bits(), single[0].to_bits(), "n = {n}, k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_clock_steps_group_by_value() {
+        // Titan X's 71-clock domain steps 12, 15, 16 and 18 MHz.
+        let grid = clock_grid(135, &[12, 15, 16, 18], 71);
+        assert!(grid.is_stepped());
+        assert_eq!(grid.steps.len(), 4);
+        assert!(grid.drift <= 1e-15, "drift {}", grid.drift);
+        let bits: std::collections::BTreeSet<u64> = grid
+            .ts()
+            .windows(2)
+            .map(|w| (w[1] - w[0]).to_bits())
+            .collect();
+        assert!(bits.len() > 4, "the scaled steps differ in their bits");
+        // Too few points for the exps stepping costs, or too many
+        // distinct gaps: scored directly.
+        assert!(!clock_grid(135, &[12, 15, 16, 18], 6).is_stepped());
+        assert!(!clock_grid(135, &[1, 2, 3, 4, 5, 6, 7, 8, 9], 80).is_stepped());
+        assert!(!clock_grid(135, &[13], 3).is_stepped());
+        assert!(clock_grid(135, &[13], 4).is_stepped());
+        assert_eq!(grid.index_of(grid.ts()[40]), Some(40));
+        assert_eq!(grid.index_of(grid.ts()[40] + 1e-12), None);
+        assert_eq!(grid.index_of(-1.0), None);
+        assert_eq!(grid.index_of(2.0), None);
+    }
+
+    #[test]
+    fn served_shaped_lines_step() {
+        // A trained energy head on a line through the unit cube, as the
+        // served rows are: the guard lets every grid shape through.
+        let model = &trained_models()[1];
+        let plan = model.scoring_plan();
+        let (origin, dir) = ([0.3, 0.6], [0.2, -0.4]);
+        let (p, q) = plan.line_terms(&origin, &dir);
+        let line = RbfLine {
+            gamma: 0.1,
+            p: &p,
+            q: &q,
+            r: dot(&dir, &dir),
+        };
+        for (pattern, n) in [
+            (&[12, 15, 16, 18][..], 71),
+            (&[17, 21, 22, 27], 50),
+            (&[13], 9),
+        ] {
+            let grid = clock_grid(135, pattern, n);
+            let at: Vec<usize> = (0..n).collect();
+            let mut out = vec![0.0; n];
+            assert!(plan.step(&line, &grid, &at, &mut out), "{pattern:?}");
+        }
+    }
+
+    #[test]
+    fn plain_sweep_has_the_dispatched_bits() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        for model in trained_models() {
+            let plan = model.scoring_plan();
+            for n in [1, 7, 50, 71] {
+                let mut point =
+                    || -> Vec<f64> { (0..plan.dims()).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+                let (origin, dir) = (point(), point());
+                let grid = clock_grid(135, &[17, 21, 22, 27], n);
+                let at: Vec<usize> = (0..n).collect();
+                for points in [Points::Grid(&grid, &at), Points::Free(grid.ts())] {
+                    let (mut plain, mut dispatched) = (vec![0.0; n], vec![0.0; n]);
+                    plan.sweep(&origin, &dir, points, &mut plain);
+                    plan.score_line_into(&origin, &dir, points, &mut dispatched);
+                    for (a, b) in plain.iter().zip(&dispatched) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
+                    }
                 }
             }
         }
