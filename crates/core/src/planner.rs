@@ -478,7 +478,7 @@ pub fn analyze_source(source: &str, path: Option<&str>) -> Result<(StaticFeature
             path: owned_path(),
             source,
         })?;
-    let profile = KernelProfile::from_analysis(&kernel.name, &analysis, LaunchConfig::default());
+    let profile = KernelProfile::from_analysis(kernel.name, &analysis, LaunchConfig::default());
     Ok((StaticFeatures::from_analysis(&analysis), profile))
 }
 

@@ -1,10 +1,16 @@
 //! Abstract syntax tree for the OpenCL-C kernel subset.
+//!
+//! The tree borrows every name from the source (`'src`) and keeps its
+//! nodes in flat per-kernel arenas: an [`Expr`] refers to its children
+//! by [`ExprId`], a block is a [`Stmts`] run of consecutive statements,
+//! and a call's arguments are an [`Args`] run of ids. A parse therefore
+//! allocates a few growing vectors per kernel instead of one box per
+//! node and one vector per block.
 
 use crate::lexer::Span;
-use serde::{Deserialize, Serialize};
 
 /// Scalar value types supported by the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     /// `void` — function return only.
     Void,
@@ -49,7 +55,7 @@ impl Scalar {
 }
 
 /// OpenCL address spaces for pointer parameters and local arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressSpace {
     /// `__global` device memory.
     Global,
@@ -62,7 +68,7 @@ pub enum AddressSpace {
 }
 
 /// A (possibly pointer) type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Type {
     /// Element scalar type.
     pub scalar: Scalar,
@@ -94,7 +100,7 @@ impl Type {
 
 /// Binary operators.
 #[allow(missing_docs)] // variants are self-describing operator names
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     Add,
     Sub,
@@ -131,7 +137,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {
     /// Arithmetic negation `-x`.
     Neg,
@@ -141,10 +147,35 @@ pub enum UnOp {
     BitNot,
 }
 
-/// Expressions.
+/// Index of an expression in its kernel's arena (see [`KernelFn::expr`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExprId(pub(crate) u32);
+
+/// Index of a statement in its kernel's arena (see [`KernelFn::stmt`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StmtId(pub(crate) u32);
+
+/// A block: a run of consecutive statements in its kernel's arena (see
+/// [`KernelFn::stmts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stmts {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+/// A call's argument list: a run of consecutive expression ids in its
+/// kernel's arena (see [`KernelFn::args`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Args {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+/// Expressions. Children are ids into the kernel's expression arena;
+/// names borrow the source text.
 #[allow(missing_docs)] // struct-variant fields are self-describing
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Expr {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Expr<'src> {
     /// Integer literal.
     IntLit(i64),
     /// Float literal.
@@ -152,165 +183,178 @@ pub enum Expr {
     /// Boolean literal.
     BoolLit(bool),
     /// Variable reference.
-    Var(String),
+    Var(&'src str),
     /// Binary operation.
-    Binary {
-        op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
-    },
+    Binary { op: BinOp, lhs: ExprId, rhs: ExprId },
     /// Unary operation.
-    Unary { op: UnOp, expr: Box<Expr> },
+    Unary { op: UnOp, expr: ExprId },
     /// Array / pointer indexing `base[index]`.
-    Index { base: Box<Expr>, index: Box<Expr> },
+    Index { base: ExprId, index: ExprId },
     /// Function / builtin call.
-    Call { name: String, args: Vec<Expr> },
+    Call { name: &'src str, args: Args },
     /// C-style cast `(float)x`.
-    Cast { ty: Scalar, expr: Box<Expr> },
+    Cast { ty: Scalar, expr: ExprId },
     /// Ternary conditional `c ? a : b`.
     Ternary {
-        cond: Box<Expr>,
-        then: Box<Expr>,
-        other: Box<Expr>,
+        cond: ExprId,
+        then: ExprId,
+        other: ExprId,
     },
-}
-
-impl Expr {
-    /// Convenience constructor for binary nodes.
-    pub fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        }
-    }
 }
 
 /// Assignment targets: plain variable or indexed store.
 #[allow(missing_docs)] // struct-variant fields are self-describing
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LValue {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LValue<'src> {
     /// `x = ...`
-    Var(String),
+    Var(&'src str),
     /// `buf[i] = ...`
-    Index { base: Box<Expr>, index: Box<Expr> },
+    Index { base: ExprId, index: ExprId },
 }
 
 /// Compound-assignment operators map onto a [`BinOp`]; `None` is plain `=`.
 pub type AssignOp = Option<BinOp>;
 
-/// Statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Stmt {
+/// Statements. Nested statements and expressions are ids into the
+/// kernel's arenas.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stmt<'src> {
     /// Variable declaration, e.g. `float acc = 0.0f;` or a local array
     /// `__local float tile[256];`.
     Decl {
         /// Declared type (arrays are pointer-typed with `array_len`).
         ty: Type,
         /// Variable name.
-        name: String,
+        name: &'src str,
         /// Fixed array length for local/private arrays.
         array_len: Option<u64>,
         /// Optional initializer.
-        init: Option<Expr>,
+        init: Option<ExprId>,
         /// Source location.
         span: Span,
     },
     /// Assignment (possibly compound).
     Assign {
         /// Target of the store.
-        target: LValue,
+        target: LValue<'src>,
         /// `None` for `=`, `Some(op)` for `op=`.
         op: AssignOp,
         /// Right-hand side.
-        value: Expr,
+        value: ExprId,
         /// Source location.
         span: Span,
     },
     /// Expression statement (a bare call such as `barrier(...)`).
-    Expr(Expr, Span),
+    Expr(ExprId, Span),
     /// `if (cond) { .. } else { .. }`.
     If {
         /// Branch condition.
-        cond: Expr,
+        cond: ExprId,
         /// Taken branch.
-        then: Vec<Stmt>,
+        then: Stmts,
         /// Else branch (empty when absent).
-        other: Vec<Stmt>,
+        other: Stmts,
         /// Source location.
         span: Span,
     },
     /// `for (init; cond; step) body`.
     For {
         /// Loop initializer (declaration or assignment).
-        init: Option<Box<Stmt>>,
+        init: Option<StmtId>,
         /// Loop condition (None = infinite; rejected later).
-        cond: Option<Expr>,
+        cond: Option<ExprId>,
         /// Loop step statement.
-        step: Option<Box<Stmt>>,
+        step: Option<StmtId>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Stmts,
         /// Source location.
         span: Span,
     },
     /// `while (cond) body`.
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: ExprId,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Stmts,
         /// Source location.
         span: Span,
     },
     /// `return;` / `return expr;`.
-    Return(Option<Expr>, Span),
+    Return(Option<ExprId>, Span),
     /// `break;`
     Break(Span),
     /// `continue;`
     Continue(Span),
     /// Nested block `{ ... }`.
-    Block(Vec<Stmt>, Span),
+    Block(Stmts, Span),
 }
 
 /// A kernel parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Param {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Param<'src> {
     /// Parameter type.
     pub ty: Type,
     /// Parameter name.
-    pub name: String,
+    pub name: &'src str,
     /// `const`-qualified (read-only buffer).
     pub is_const: bool,
 }
 
-/// A parsed `__kernel` function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelFn {
+/// A parsed `__kernel` function. It owns the arenas its statements and
+/// expressions live in; ids resolve through [`KernelFn::expr`],
+/// [`KernelFn::stmt`], [`KernelFn::stmts`] and [`KernelFn::args`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelFn<'src> {
     /// Kernel name.
-    pub name: String,
+    pub name: &'src str,
     /// Parameter list.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'src>>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Stmts,
     /// Source location of the signature.
     pub span: Span,
+    pub(crate) exprs: Vec<Expr<'src>>,
+    pub(crate) stmts: Vec<Stmt<'src>>,
+    pub(crate) args: Vec<ExprId>,
 }
 
-/// A translation unit: one or more kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Program {
+impl<'src> KernelFn<'src> {
+    /// The expression `id` names.
+    pub fn expr(&self, id: ExprId) -> &Expr<'src> {
+        &self.exprs[id.0 as usize]
+    }
+
+    /// The statement `id` names.
+    pub fn stmt(&self, id: StmtId) -> &Stmt<'src> {
+        &self.stmts[id.0 as usize]
+    }
+
+    /// The statements of a block.
+    pub fn stmts(&self, block: Stmts) -> &[Stmt<'src>] {
+        &self.stmts[block.start as usize..block.end as usize]
+    }
+
+    /// The argument expressions of a call.
+    pub fn args(&self, args: Args) -> &[ExprId] {
+        &self.args[args.start as usize..args.end as usize]
+    }
+}
+
+/// A translation unit: one or more kernels, borrowing the source.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Program<'src> {
     /// All `__kernel` functions in the source.
-    pub kernels: Vec<KernelFn>,
+    pub kernels: Vec<KernelFn<'src>>,
 }
 
-impl Program {
+impl<'src> Program<'src> {
     /// Find a kernel by name.
-    pub fn kernel(&self, name: &str) -> Option<&KernelFn> {
+    pub fn kernel(&self, name: &str) -> Option<&KernelFn<'src>> {
         self.kernels.iter().find(|k| k.name == name)
     }
 
     /// The first (often only) kernel in the unit.
-    pub fn first_kernel(&self) -> Option<&KernelFn> {
+    pub fn first_kernel(&self) -> Option<&KernelFn<'src>> {
         self.kernels.first()
     }
 }

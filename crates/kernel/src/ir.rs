@@ -243,33 +243,34 @@ impl AnalysisConfig {
 }
 
 /// Analyze `kernel` with the default configuration.
-pub fn analyze_kernel(kernel: &KernelFn) -> Result<KernelAnalysis, AnalysisError> {
+pub fn analyze_kernel(kernel: &KernelFn<'_>) -> Result<KernelAnalysis, AnalysisError> {
     analyze_kernel_with(kernel, &AnalysisConfig::default())
 }
 
 /// Analyze `kernel` under `config`.
 pub fn analyze_kernel_with(
-    kernel: &KernelFn,
+    kernel: &KernelFn<'_>,
     config: &AnalysisConfig,
 ) -> Result<KernelAnalysis, AnalysisError> {
-    let mut env = Env::new(config);
+    let mut env = Env::new(config, kernel);
     for p in &kernel.params {
-        env.declare(&p.name, p.ty);
+        env.declare(p.name, p.ty);
         if !p.ty.pointer {
-            if let Some(&v) = config.param_bindings.get(&p.name) {
-                env.set_const(&p.name, v);
+            if let Some(&v) = config.param_bindings.get(p.name) {
+                env.set_const(p.name, v);
             }
         }
     }
     let mut analysis = KernelAnalysis::default();
-    analyze_block(&kernel.body, &mut env, &mut analysis)?;
+    analyze_block(kernel.body, &mut env, &mut analysis)?;
     Ok(analysis)
 }
 
 // ---- environment ------------------------------------------------------
 
 /// Lexical environment for the analyzer, stored as flat binding stacks
-/// that borrow their names from the AST.
+/// that borrow their names from the AST, plus the kernel whose arenas
+/// the walk resolves ids in.
 ///
 /// The previous representation (`Vec<HashMap<String, _>>`, one map per
 /// scope) allocated a map plus an owned `String` per binding on every
@@ -291,35 +292,32 @@ pub fn analyze_kernel_with(
 /// * scope exit truncates to the entry mark, like dropping the map.
 struct Env<'a> {
     config: &'a AnalysisConfig,
+    kernel: &'a KernelFn<'a>,
     /// Declared variables, innermost bindings last.
     vars: Vec<(&'a str, Type)>,
-    /// Scope entry marks into `vars`.
-    var_marks: Vec<usize>,
     /// Known integer constants; `None` is an in-place removal.
     consts: Vec<(&'a str, Option<i64>)>,
-    /// Scope entry marks into `consts`.
-    const_marks: Vec<usize>,
+    /// Scope entry marks into `vars` and `consts`.
+    marks: Vec<(usize, usize)>,
 }
 
 impl<'a> Env<'a> {
-    fn new(config: &'a AnalysisConfig) -> Self {
+    fn new(config: &'a AnalysisConfig, kernel: &'a KernelFn<'a>) -> Self {
         Env {
             config,
-            vars: Vec::new(),
-            var_marks: Vec::new(),
-            consts: Vec::new(),
-            const_marks: Vec::new(),
+            kernel,
+            vars: Vec::with_capacity(32),
+            consts: Vec::with_capacity(16),
+            marks: Vec::with_capacity(8),
         }
     }
 
     fn push(&mut self) {
-        self.var_marks.push(self.vars.len());
-        self.const_marks.push(self.consts.len());
+        self.marks.push((self.vars.len(), self.consts.len()));
     }
 
     fn pop(&mut self) {
-        let var_mark = self.var_marks.pop().expect("pop matches a push");
-        let const_mark = self.const_marks.pop().expect("pop matches a push");
+        let (var_mark, const_mark) = self.marks.pop().expect("pop matches a push");
         self.vars.truncate(var_mark);
         self.consts.truncate(const_mark);
     }
@@ -336,7 +334,7 @@ impl<'a> Env<'a> {
     }
 
     fn set_const(&mut self, name: &'a str, value: i64) {
-        let scope_start = self.const_marks.last().copied().unwrap_or(0);
+        let scope_start = self.marks.last().map_or(0, |&(_, c)| c);
         match self.consts[scope_start..]
             .iter_mut()
             .find(|(n, _)| *n == name)
@@ -370,10 +368,10 @@ impl<'a> Env<'a> {
 
 // ---- constant evaluation (for loop bounds) ----------------------------
 
-fn const_eval(expr: &Expr, env: &Env<'_>) -> Option<i64> {
-    match expr {
-        Expr::IntLit(v) => Some(*v),
-        Expr::BoolLit(b) => Some(*b as i64),
+fn const_eval(expr: ExprId, env: &Env<'_>) -> Option<i64> {
+    match *env.kernel.expr(expr) {
+        Expr::IntLit(v) => Some(v),
+        Expr::BoolLit(b) => Some(b as i64),
         Expr::Var(name) => env.lookup_const(name),
         Expr::Unary {
             op: UnOp::Neg,
@@ -422,52 +420,53 @@ fn const_eval(expr: &Expr, env: &Env<'_>) -> Option<i64> {
 /// `for (T i = START; i CMP END; i += STEP)` (or `i++`, `i--`, `i -= ..`)
 /// and return its trip count when all three values are constant.
 fn for_trip_count(
-    init: Option<&Stmt>,
-    cond: Option<&Expr>,
-    step: Option<&Stmt>,
+    init: Option<&Stmt<'_>>,
+    cond: Option<ExprId>,
+    step: Option<&Stmt<'_>>,
     env: &Env<'_>,
 ) -> Option<f64> {
-    let (var, start) = match init? {
+    let k = env.kernel;
+    let (var, start) = match *init? {
         Stmt::Decl {
             name,
             init: Some(e),
             ..
-        } => (name.as_str(), const_eval(e, env)?),
+        } => (name, const_eval(e, env)?),
         Stmt::Assign {
             target: LValue::Var(name),
             op: None,
             value,
             ..
-        } => (name.as_str(), const_eval(value, env)?),
+        } => (name, const_eval(value, env)?),
         _ => return None,
     };
-    let (cmp, end) = match cond? {
-        Expr::Binary { op, lhs, rhs } => match (lhs.as_ref(), rhs.as_ref()) {
-            (Expr::Var(v), bound) if *v == var => (*op, const_eval(bound, env)?),
-            (bound, Expr::Var(v)) if *v == var => (flip_cmp(*op)?, const_eval(bound, env)?),
+    let (cmp, end) = match *k.expr(cond?) {
+        Expr::Binary { op, lhs, rhs } => match (*k.expr(lhs), *k.expr(rhs)) {
+            (Expr::Var(v), _) if v == var => (op, const_eval(rhs, env)?),
+            (_, Expr::Var(v)) if v == var => (flip_cmp(op)?, const_eval(lhs, env)?),
             _ => return None,
         },
         _ => return None,
     };
-    let delta = match step? {
+    let delta = match *step? {
         Stmt::Assign {
             target: LValue::Var(v),
             op: Some(BinOp::Add),
             value,
             ..
-        } if *v == var => const_eval(value, env)?,
+        } if v == var => const_eval(value, env)?,
         Stmt::Assign {
             target: LValue::Var(v),
             op: Some(BinOp::Sub),
             value,
             ..
-        } if *v == var => -const_eval(value, env)?,
+        } if v == var => -const_eval(value, env)?,
         Stmt::Assign {
             target: LValue::Var(v),
             op: Some(BinOp::Mul),
             value,
             ..
-        } if *v == var => {
+        } if v == var => {
             // Geometric loops (`i *= 2`): count iterations explicitly.
             let factor = const_eval(value, env)?;
             return geometric_trips(start, end, cmp, factor);
@@ -477,7 +476,7 @@ fn for_trip_count(
             op: Some(BinOp::Shl),
             value,
             ..
-        } if *v == var => {
+        } if v == var => {
             let sh = const_eval(value, env)?;
             return geometric_trips(start, end, cmp, 1i64.checked_shl(u32::try_from(sh).ok()?)?);
         }
@@ -548,23 +547,24 @@ fn flip_cmp(op: BinOp) -> Option<BinOp> {
 
 // ---- statement analysis -------------------------------------------------
 
-fn analyze_block<'a>(
-    stmts: &'a [Stmt],
-    env: &mut Env<'a>,
+fn analyze_block(
+    block: Stmts,
+    env: &mut Env<'_>,
     out: &mut KernelAnalysis,
 ) -> Result<(), AnalysisError> {
-    for stmt in stmts {
+    let k = env.kernel;
+    for stmt in k.stmts(block) {
         analyze_stmt(stmt, env, out)?;
     }
     Ok(())
 }
 
 fn analyze_stmt<'a>(
-    stmt: &'a Stmt,
+    stmt: &Stmt<'a>,
     env: &mut Env<'a>,
     out: &mut KernelAnalysis,
 ) -> Result<(), AnalysisError> {
-    match stmt {
+    match *stmt {
         Stmt::Decl { ty, name, init, .. } => {
             if let Some(e) = init {
                 analyze_expr(e, env, out)?;
@@ -575,7 +575,7 @@ fn analyze_stmt<'a>(
                     }
                 }
             }
-            env.declare(name, *ty);
+            env.declare(name, ty);
             Ok(())
         }
         Stmt::Assign {
@@ -586,7 +586,7 @@ fn analyze_stmt<'a>(
                 LValue::Var(name) => {
                     let var_ty = env.lookup(name).unwrap_or(Type::scalar(value_ty)).scalar;
                     if let Some(binop) = op {
-                        count_binop(*binop, var_ty, &mut out.counts);
+                        count_binop(binop, var_ty, &mut out.counts);
                     }
                     // Track constants for trip-count resolution; any
                     // non-constant assignment invalidates the binding.
@@ -608,7 +608,7 @@ fn analyze_stmt<'a>(
                     if let Some(binop) = op {
                         // Compound store reads the old value first.
                         record_access(base_ty, false, out);
-                        count_binop(*binop, base_ty.scalar, &mut out.counts);
+                        count_binop(binop, base_ty.scalar, &mut out.counts);
                     }
                     record_access(base_ty, true, out);
                 }
@@ -644,18 +644,20 @@ fn analyze_stmt<'a>(
             body,
             ..
         } => {
+            let k = env.kernel;
+            let (init, step) = (init.map(|i| k.stmt(i)), step.map(|s| k.stmt(s)));
             env.push();
             if let Some(i) = init {
                 analyze_stmt(i, env, out)?;
             }
-            let trips = for_trip_count(init.as_deref(), cond.as_ref(), step.as_deref(), env)
-                .unwrap_or(env.config.assumed_trip_count);
+            let trips =
+                for_trip_count(init, cond, step, env).unwrap_or(env.config.assumed_trip_count);
             // The induction variable is not constant inside the body.
-            if let Some(Stmt::Decl { name, .. })
-            | Some(Stmt::Assign {
+            if let Some(&Stmt::Decl { name, .. })
+            | Some(&Stmt::Assign {
                 target: LValue::Var(name),
                 ..
-            }) = init.as_deref()
+            }) = init
             {
                 env.clear_const(name);
             }
@@ -715,11 +717,11 @@ fn analyze_stmt<'a>(
 /// Walk an expression, accumulate its instruction counts, and return its
 /// inferred scalar type.
 fn analyze_expr(
-    expr: &Expr,
+    expr: ExprId,
     env: &Env<'_>,
     out: &mut KernelAnalysis,
 ) -> Result<Scalar, AnalysisError> {
-    match expr {
+    match *env.kernel.expr(expr) {
         Expr::IntLit(_) => Ok(Scalar::Int),
         Expr::FloatLit(_) => Ok(Scalar::Float),
         Expr::BoolLit(_) => Ok(Scalar::Bool),
@@ -728,7 +730,7 @@ fn analyze_expr(
             let lt = analyze_expr(lhs, env, out)?;
             let rt = analyze_expr(rhs, env, out)?;
             let operand = promote(lt, rt);
-            count_binop(*op, operand, &mut out.counts);
+            count_binop(op, operand, &mut out.counts);
             if op.is_comparison() || op.is_logical() {
                 Ok(Scalar::Bool)
             } else {
@@ -747,7 +749,7 @@ fn analyze_expr(
                 }
                 UnOp::Not | UnOp::BitNot => out.counts.add(InstrClass::IntBitwise, 1.0),
             }
-            Ok(if *op == UnOp::Not { Scalar::Bool } else { t })
+            Ok(if op == UnOp::Not { Scalar::Bool } else { t })
         }
         Expr::Index { base, index } => {
             analyze_expr(index, env, out)?;
@@ -762,7 +764,7 @@ fn analyze_expr(
             // Conversions are near-free on the GPU datapath; counted as
             // overhead so they do not skew the arithmetic mix.
             out.counts.add(InstrClass::Other, 1.0);
-            Ok(*ty)
+            Ok(ty)
         }
         Expr::Ternary { cond, then, other } => {
             analyze_expr(cond, env, out)?;
@@ -782,15 +784,16 @@ fn analyze_expr(
 
 fn analyze_call(
     name: &str,
-    args: &[Expr],
+    args: Args,
     env: &Env<'_>,
     out: &mut KernelAnalysis,
 ) -> Result<Scalar, AnalysisError> {
-    let mut arg_types = Vec::with_capacity(args.len());
-    for a in args {
-        arg_types.push(analyze_expr(a, env, out)?);
+    let mut first_ty = None;
+    for &a in env.kernel.args(args) {
+        let ty = analyze_expr(a, env, out)?;
+        first_ty.get_or_insert(ty);
     }
-    let first_ty = arg_types.first().copied().unwrap_or(Scalar::Int);
+    let first_ty = first_ty.unwrap_or(Scalar::Int);
     match classify_builtin(name) {
         BuiltinClass::WorkItem | BuiltinClass::Sync | BuiltinClass::Unknown => {
             out.counts.add(InstrClass::Other, 1.0);
@@ -818,17 +821,17 @@ fn analyze_call(
 /// Resolve the buffer expression of an index access and return its type.
 /// Only plain variables and nested indexes are addressable in the subset.
 fn analyze_base(
-    base: &Expr,
+    base: ExprId,
     env: &Env<'_>,
     out: &mut KernelAnalysis,
 ) -> Result<Type, AnalysisError> {
-    match base {
+    match *env.kernel.expr(base) {
         Expr::Var(name) => Ok(env
             .lookup(name)
             .unwrap_or(Type::pointer(Scalar::Float, AddressSpace::Global))),
-        other => {
+        _ => {
             // e.g. `(buf + off)[i]` style bases: analyze and assume global.
-            analyze_expr(other, env, out)?;
+            analyze_expr(base, env, out)?;
             Ok(Type::pointer(Scalar::Float, AddressSpace::Global))
         }
     }

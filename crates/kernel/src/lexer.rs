@@ -1,15 +1,17 @@
 //! Lexer for the OpenCL-C kernel subset.
 //!
-//! The token stream carries byte spans so the parser can produce
-//! positioned diagnostics. Comments (`//`, `/* */`) and whitespace are
-//! skipped; everything else must form a valid token or lexing fails with
-//! a [`LexError`].
+//! [`Lexer`] is a pull lexer: the parser asks it for one token at a time
+//! and no token vector is built. Tokens are `Copy`, carry byte spans for
+//! positioned diagnostics, and borrow identifier text from the source,
+//! so lexing a valid source allocates nothing. Comments (`//`, `/* */`)
+//! and whitespace are skipped; everything else must form a valid token
+//! or lexing fails with a [`LexError`]. [`lex`] collects a whole
+//! source's tokens.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Byte range of a token in the source text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Inclusive start byte offset.
     pub start: usize,
@@ -218,11 +220,11 @@ impl Op {
     }
 }
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// One lexical token. Identifiers borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'src> {
     /// Identifier (variable, function, builtin name).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal (decimal or hex), value and unsigned-suffix flag.
     IntLit(i64, bool),
     /// Floating point literal.
@@ -236,10 +238,10 @@ pub enum TokenKind {
 }
 
 /// Token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// What kind of token this is.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it came from.
     pub span: Span,
 }
@@ -296,391 +298,261 @@ fn quote_text(text: &str) -> String {
     out
 }
 
-struct Cursor<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: u32,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-        }
-        Some(c)
-    }
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Tokenize `src` into a vector of tokens terminated by [`TokenKind::Eof`].
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut cur = Cursor {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-    };
+/// Tokenize all of `src` into tokens terminated by [`TokenKind::Eof`]
+/// (the parser pulls from a [`Lexer`] instead).
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let mut lexer = Lexer::new(src);
     let mut out = Vec::with_capacity(src.len() / 4 + 8);
     loop {
-        skip_trivia(&mut cur)?;
-        let start = cur.pos;
-        let line = cur.line;
-        let Some(c) = cur.peek() else {
-            out.push(Token {
-                kind: TokenKind::Eof,
-                span: Span {
-                    start,
-                    end: start,
-                    line,
-                },
-            });
-            return Ok(out);
+        let token = lexer.next_token();
+        out.push(token);
+        if token.kind == TokenKind::Eof {
+            return lexer.finish().map(|()| out);
+        }
+    }
+}
+
+/// A pull lexer: each [`Lexer::next_token`] scans one token on demand,
+/// so nothing is buffered, and only an error's message allocates.
+///
+/// A lex error ends the stream: from then on every token is
+/// [`TokenKind::Eof`], and [`Lexer::finish`] reports the error.
+#[derive(Clone)]
+pub struct Lexer<'src> {
+    src: &'src str,
+    pos: usize,
+    line: u32,
+    error: Option<LexError>,
+}
+
+impl<'src> Lexer<'src> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'src str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            error: None,
+        }
+    }
+
+    /// The next token: [`TokenKind::Eof`] at the end of the input and
+    /// after a lex error.
+    pub fn next_token(&mut self) -> Token<'src> {
+        if self.error.is_none() {
+            match self.scan() {
+                Ok(token) => return token,
+                Err(e) => self.error = Some(e),
+            }
+        }
+        Token {
+            kind: TokenKind::Eof,
+            span: self.span_from(self.pos, self.line),
+        }
+    }
+
+    /// Lex whatever input is left and return the first lex error of the
+    /// whole source, if any.
+    pub fn finish(mut self) -> Result<(), LexError> {
+        while self.next_token().kind != TokenKind::Eof {}
+        self.error.map_or(Ok(()), Err)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn peek2(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + 1).copied()
+    }
+
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Advance past bytes matching `f` (none of which is a newline).
+    fn skip_while(&mut self, f: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&f) {
+            self.pos += 1;
+        }
+    }
+
+    fn span_from(&self, start: usize, line: u32) -> Span {
+        Span {
+            start,
+            end: self.pos,
+            line,
+        }
+    }
+
+    fn scan(&mut self) -> Result<Token<'src>, LexError> {
+        self.skip_trivia()?;
+        let (start, line) = (self.pos, self.line);
+        let kind = match self.peek() {
+            None => TokenKind::Eof,
+            Some(b'a'..=b'z' | b'A'..=b'Z' | b'_') => {
+                self.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+                let text = &self.src[start..self.pos];
+                Keyword::from_ident(text).map_or(TokenKind::Ident(text), TokenKind::Kw)
+            }
+            Some(b'0'..=b'9') => self.number(start, line)?,
+            Some(b'.') if self.peek2().is_some_and(|d| d.is_ascii_digit()) => {
+                self.number(start, line)?
+            }
+            Some(c) => {
+                self.pos += 1;
+                match self.op(c) {
+                    Some(op) => TokenKind::Op(op),
+                    None => {
+                        // Take the whole character, not just its first
+                        // UTF-8 byte.
+                        let ch = self.src[start..].chars().next().unwrap_or('?');
+                        self.pos = start + ch.len_utf8();
+                        let text = quote_text(&self.src[start..self.pos]);
+                        return Err(LexError {
+                            message: format!("unexpected character {text}"),
+                            span: self.span_from(start, line),
+                        });
+                    }
+                }
+            }
         };
-        let kind = match c {
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => lex_ident(&mut cur),
-            b'0'..=b'9' => lex_number(&mut cur)?,
-            b'.' if cur.peek2().is_some_and(|d| d.is_ascii_digit()) => lex_number(&mut cur)?,
-            _ => lex_op(&mut cur)?,
-        };
-        out.push(Token {
+        Ok(Token {
             kind,
-            span: Span {
-                start,
-                end: cur.pos,
-                line,
-            },
-        });
+            span: self.span_from(start, line),
+        })
     }
-}
 
-fn skip_trivia(cur: &mut Cursor<'_>) -> Result<(), LexError> {
-    loop {
-        match cur.peek() {
-            Some(c) if c.is_ascii_whitespace() => {
-                cur.bump();
-            }
-            Some(b'/') if cur.peek2() == Some(b'/') => {
-                while let Some(c) = cur.peek() {
-                    if c == b'\n' {
-                        break;
-                    }
-                    cur.bump();
+    fn skip_trivia(&mut self) -> Result<(), LexError> {
+        loop {
+            match self.peek() {
+                Some(c) if c.is_ascii_whitespace() => {
+                    self.pos += 1;
+                    self.line += u32::from(c == b'\n');
                 }
-            }
-            Some(b'/') if cur.peek2() == Some(b'*') => {
-                let start = cur.pos;
-                let line = cur.line;
-                cur.bump();
-                cur.bump();
-                loop {
-                    match cur.peek() {
-                        Some(b'*') if cur.peek2() == Some(b'/') => {
-                            cur.bump();
-                            cur.bump();
-                            break;
-                        }
-                        Some(_) => {
-                            cur.bump();
-                        }
-                        None => {
-                            return Err(LexError {
-                                message: "unterminated block comment".into(),
-                                span: Span {
-                                    start,
-                                    end: cur.pos,
-                                    line,
-                                },
-                            })
-                        }
-                    }
+                // Line comments and preprocessor directives (e.g. the
+                // `#define`s of real OpenCL sources; the subset does not
+                // expand macros) run to the end of the line.
+                Some(b'/') if self.peek2() == Some(b'/') => self.skip_while(|c| c != b'\n'),
+                Some(b'#') => self.skip_while(|c| c != b'\n'),
+                Some(b'/') if self.peek2() == Some(b'*') => {
+                    let (start, line) = (self.pos, self.line);
+                    let body = &self.src.as_bytes()[start + 2..];
+                    let Some(len) = body.windows(2).position(|w| w == b"*/") else {
+                        self.pos = self.src.len();
+                        return Err(LexError {
+                            message: "unterminated block comment".into(),
+                            span: self.span_from(start, line),
+                        });
+                    };
+                    self.line += body[..len].iter().filter(|&&c| c == b'\n').count() as u32;
+                    self.pos = start + 2 + len + 2;
                 }
+                _ => return Ok(()),
             }
-            Some(b'#') => {
-                // Preprocessor directives (e.g. #define used for constants in
-                // real OpenCL sources) are skipped to end of line; the subset
-                // does not implement macro expansion.
-                while let Some(c) = cur.peek() {
-                    if c == b'\n' {
-                        break;
-                    }
-                    cur.bump();
-                }
-            }
-            _ => return Ok(()),
         }
     }
-}
 
-fn lex_ident(cur: &mut Cursor<'_>) -> TokenKind {
-    let start = cur.pos;
-    while let Some(c) = cur.peek() {
-        if c.is_ascii_alphanumeric() || c == b'_' {
-            cur.bump();
-        } else {
-            break;
-        }
-    }
-    let text = std::str::from_utf8(&cur.src[start..cur.pos]).expect("ascii ident");
-    match Keyword::from_ident(text) {
-        Some(kw) => TokenKind::Kw(kw),
-        None => TokenKind::Ident(text.to_string()),
-    }
-}
-
-fn lex_number(cur: &mut Cursor<'_>) -> Result<TokenKind, LexError> {
-    let start = cur.pos;
-    let line = cur.line;
-    // Hex literal.
-    if cur.peek() == Some(b'0') && matches!(cur.peek2(), Some(b'x') | Some(b'X')) {
-        cur.bump();
-        cur.bump();
-        let hs = cur.pos;
-        while cur.peek().is_some_and(|c| c.is_ascii_hexdigit()) {
-            cur.bump();
-        }
-        if cur.pos == hs {
-            return Err(LexError {
-                message: "hex literal with no digits".into(),
-                span: Span {
-                    start,
-                    end: cur.pos,
-                    line,
-                },
-            });
-        }
-        let text = std::str::from_utf8(&cur.src[hs..cur.pos]).unwrap();
-        let v = i64::from_str_radix(text, 16).map_err(|e| LexError {
-            message: format!("invalid hex literal: {e}"),
-            span: Span {
-                start,
-                end: cur.pos,
-                line,
-            },
-        })?;
-        let unsigned = cur.eat(b'u') || cur.eat(b'U');
-        let _ = cur.eat(b'l') || cur.eat(b'L');
-        return Ok(TokenKind::IntLit(v, unsigned));
-    }
-    let mut is_float = false;
-    while cur.peek().is_some_and(|c| c.is_ascii_digit()) {
-        cur.bump();
-    }
-    if cur.peek() == Some(b'.') {
-        is_float = true;
-        cur.bump();
-        while cur.peek().is_some_and(|c| c.is_ascii_digit()) {
-            cur.bump();
-        }
-    }
-    if matches!(cur.peek(), Some(b'e') | Some(b'E')) {
-        let save = cur.pos;
-        cur.bump();
-        let _ = cur.eat(b'+') || cur.eat(b'-');
-        if cur.peek().is_some_and(|c| c.is_ascii_digit()) {
-            is_float = true;
-            while cur.peek().is_some_and(|c| c.is_ascii_digit()) {
-                cur.bump();
+    fn number(&mut self, start: usize, line: u32) -> Result<TokenKind<'src>, LexError> {
+        let err = |lexer: &Self, message: String| LexError {
+            message,
+            span: lexer.span_from(start, line),
+        };
+        // Hex literal.
+        if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x' | b'X')) {
+            self.pos += 2;
+            let digits = self.pos;
+            self.skip_while(|c| c.is_ascii_hexdigit());
+            if self.pos == digits {
+                return Err(err(self, "hex literal with no digits".into()));
             }
-        } else {
-            cur.pos = save; // not an exponent, e.g. `1e` followed by ident
+            let v = i64::from_str_radix(&self.src[digits..self.pos], 16)
+                .map_err(|e| err(self, format!("invalid hex literal: {e}")))?;
+            let unsigned = self.eat(b'u') || self.eat(b'U');
+            let _ = self.eat(b'l') || self.eat(b'L');
+            return Ok(TokenKind::IntLit(v, unsigned));
         }
-    }
-    let text = std::str::from_utf8(&cur.src[start..cur.pos]).unwrap();
-    if is_float {
-        let _ = cur.eat(b'f') || cur.eat(b'F');
-        let v: f64 = text.parse().map_err(|e| LexError {
-            message: format!("invalid float literal: {e}"),
-            span: Span {
-                start,
-                end: cur.pos,
-                line,
-            },
-        })?;
-        Ok(TokenKind::FloatLit(v))
-    } else if cur.eat(b'f') || cur.eat(b'F') {
-        // `1f` style literal.
-        let v: f64 = text.parse().map_err(|e| LexError {
-            message: format!("invalid float literal: {e}"),
-            span: Span {
-                start,
-                end: cur.pos,
-                line,
-            },
-        })?;
-        Ok(TokenKind::FloatLit(v))
-    } else {
-        let unsigned = cur.eat(b'u') || cur.eat(b'U');
-        let _ = cur.eat(b'l') || cur.eat(b'L');
-        let v: i64 = text.parse().map_err(|e| LexError {
-            message: format!("invalid int literal: {e}"),
-            span: Span {
-                start,
-                end: cur.pos,
-                line,
-            },
-        })?;
+        self.skip_while(|c| c.is_ascii_digit());
+        let mut is_float = self.eat(b'.');
+        if is_float {
+            self.skip_while(|c| c.is_ascii_digit());
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            let save = self.pos;
+            self.pos += 1;
+            let _ = self.eat(b'+') || self.eat(b'-');
+            if self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                is_float = true;
+                self.skip_while(|c| c.is_ascii_digit());
+            } else {
+                self.pos = save; // not an exponent, e.g. `1e` followed by ident
+            }
+        }
+        let text = &self.src[start..self.pos];
+        // `1.5f`, and the `1f` style literal.
+        if self.eat(b'f') || self.eat(b'F') || is_float {
+            let v = text
+                .parse()
+                .map_err(|e| err(self, format!("invalid float literal: {e}")))?;
+            return Ok(TokenKind::FloatLit(v));
+        }
+        let unsigned = self.eat(b'u') || self.eat(b'U');
+        let _ = self.eat(b'l') || self.eat(b'L');
+        let v = text
+            .parse()
+            .map_err(|e| err(self, format!("invalid int literal: {e}")))?;
         Ok(TokenKind::IntLit(v, unsigned))
     }
-}
 
-fn lex_op(cur: &mut Cursor<'_>) -> Result<TokenKind, LexError> {
-    let start = cur.pos;
-    let line = cur.line;
-    let c = cur.bump().expect("caller checked non-empty");
-    let op = match c {
-        b'+' => {
-            if cur.eat(b'+') {
-                Op::PlusPlus
-            } else if cur.eat(b'=') {
-                Op::PlusAssign
-            } else {
-                Op::Plus
-            }
-        }
-        b'-' => {
-            if cur.eat(b'-') {
-                Op::MinusMinus
-            } else if cur.eat(b'=') {
-                Op::MinusAssign
-            } else {
-                Op::Minus
-            }
-        }
-        b'*' => {
-            if cur.eat(b'=') {
-                Op::StarAssign
-            } else {
-                Op::Star
-            }
-        }
-        b'/' => {
-            if cur.eat(b'=') {
-                Op::SlashAssign
-            } else {
-                Op::Slash
-            }
-        }
-        b'%' => {
-            if cur.eat(b'=') {
-                Op::PercentAssign
-            } else {
-                Op::Percent
-            }
-        }
-        b'&' => {
-            if cur.eat(b'&') {
-                Op::AndAnd
-            } else if cur.eat(b'=') {
-                Op::AmpAssign
-            } else {
-                Op::Amp
-            }
-        }
-        b'|' => {
-            if cur.eat(b'|') {
-                Op::OrOr
-            } else if cur.eat(b'=') {
-                Op::PipeAssign
-            } else {
-                Op::Pipe
-            }
-        }
-        b'^' => {
-            if cur.eat(b'=') {
-                Op::CaretAssign
-            } else {
-                Op::Caret
-            }
-        }
-        b'~' => Op::Tilde,
-        b'!' => {
-            if cur.eat(b'=') {
-                Op::Ne
-            } else {
-                Op::Bang
-            }
-        }
-        b'<' => {
-            if cur.eat(b'<') {
-                if cur.eat(b'=') {
-                    Op::ShlAssign
-                } else {
-                    Op::Shl
-                }
-            } else if cur.eat(b'=') {
-                Op::Le
-            } else {
-                Op::Lt
-            }
-        }
-        b'>' => {
-            if cur.eat(b'>') {
-                if cur.eat(b'=') {
-                    Op::ShrAssign
-                } else {
-                    Op::Shr
-                }
-            } else if cur.eat(b'=') {
-                Op::Ge
-            } else {
-                Op::Gt
-            }
-        }
-        b'=' => {
-            if cur.eat(b'=') {
-                Op::EqEq
-            } else {
-                Op::Assign
-            }
-        }
-        b'?' => Op::Question,
-        b':' => Op::Colon,
-        b',' => Op::Comma,
-        b';' => Op::Semi,
-        b'(' => Op::LParen,
-        b')' => Op::RParen,
-        b'{' => Op::LBrace,
-        b'}' => Op::RBrace,
-        b'[' => Op::LBracket,
-        b']' => Op::RBracket,
-        _ => {
-            // Take the whole character, not just its first UTF-8 byte.
-            while cur.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                cur.bump();
-            }
-            let text = std::str::from_utf8(&cur.src[start..cur.pos]).unwrap_or("?");
-            return Err(LexError {
-                message: format!("unexpected character {}", quote_text(text)),
-                span: Span {
-                    start,
-                    end: cur.pos,
-                    line,
-                },
+    /// The operator starting with `c` (already consumed), taking its
+    /// doubled (`++`, `<<`, `<<=`) or `=`-suffixed (`+=`, `<=`) form
+    /// when the source continues that way.
+    fn op(&mut self, c: u8) -> Option<Op> {
+        use Op::*;
+        let (single, with_eq, doubled) = match c {
+            b'+' => (Plus, Some(PlusAssign), Some(PlusPlus)),
+            b'-' => (Minus, Some(MinusAssign), Some(MinusMinus)),
+            b'*' => (Star, Some(StarAssign), None),
+            b'/' => (Slash, Some(SlashAssign), None),
+            b'%' => (Percent, Some(PercentAssign), None),
+            b'&' => (Amp, Some(AmpAssign), Some(AndAnd)),
+            b'|' => (Pipe, Some(PipeAssign), Some(OrOr)),
+            b'^' => (Caret, Some(CaretAssign), None),
+            b'!' => (Bang, Some(Ne), None),
+            b'=' => (Assign, Some(EqEq), None),
+            b'<' => (Lt, Some(Le), Some(Shl)),
+            b'>' => (Gt, Some(Ge), Some(Shr)),
+            b'~' => (Tilde, None, None),
+            b'?' => (Question, None, None),
+            b':' => (Colon, None, None),
+            b',' => (Comma, None, None),
+            b';' => (Semi, None, None),
+            b'(' => (LParen, None, None),
+            b')' => (RParen, None, None),
+            b'{' => (LBrace, None, None),
+            b'}' => (RBrace, None, None),
+            b'[' => (LBracket, None, None),
+            b']' => (RBracket, None, None),
+            _ => return None,
+        };
+        if let Some(doubled) = doubled.filter(|_| self.eat(c)) {
+            return Some(match doubled {
+                Shl if self.eat(b'=') => ShlAssign,
+                Shr if self.eat(b'=') => ShrAssign,
+                other => other,
             });
         }
-    };
-    Ok(TokenKind::Op(op))
+        Some(with_eq.filter(|_| self.eat(b'=')).unwrap_or(single))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -697,8 +569,8 @@ mod tests {
             vec![
                 TokenKind::Kw(Keyword::Kernel),
                 TokenKind::Kw(Keyword::Void),
-                TokenKind::Ident("foo".into()),
-                TokenKind::Ident("bar_1".into()),
+                TokenKind::Ident("foo"),
+                TokenKind::Ident("bar_1"),
                 TokenKind::Eof
             ]
         );
@@ -754,9 +626,9 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof
             ]
         );

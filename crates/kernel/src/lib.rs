@@ -5,9 +5,11 @@
 //! *Predictable GPUs Frequency Scaling for Energy and Performance*
 //! (Fan, Cosenza, Juurlink — ICPP 2019). It provides:
 //!
-//! * a [`lexer`] and recursive-descent [`parser`] for a pragmatic
+//! * a pull [`lexer`] and recursive-descent [`parser`] for a pragmatic
 //!   OpenCL-C subset (everything the paper's 106 synthetic training
-//!   kernels and 12 test benchmarks need),
+//!   kernels and 12 test benchmarks need). The [`ast`] borrows names
+//!   from the source and keeps each kernel's nodes in flat arenas, so
+//!   a parse allocates a few vectors, not an object per token or node,
 //! * a static analysis pass ([`ir`]) that lowers kernels to classed
 //!   executed-instruction counts with static loop trip counts — the
 //!   analogue of the paper's LLVM feature-extraction pass,

@@ -5,9 +5,16 @@
 //! parameters, declarations, assignments (plain, compound, `++`/`--`),
 //! `if`/`for`/`while`/`do`, and a conventional C expression grammar with
 //! precedence climbing.
+//!
+//! The parser holds one token and pulls the next from a [`Lexer`] as it
+//! consumes it (the one place that looks further, a cast's `( type )`,
+//! lexes ahead on a copy of the lexer), and writes nodes straight into
+//! the kernel's arenas (see [`crate::ast`]). A block's statements are
+//! staged on a stack while its nested blocks are parsed, then moved into
+//! the arena as one run; call arguments are staged the same way.
 
 use crate::ast::*;
-use crate::lexer::{lex, quote, Keyword, LexError, Op, Span, Token, TokenKind};
+use crate::lexer::{quote, Keyword, LexError, Lexer, Op, Span, Token, TokenKind};
 use std::fmt;
 
 /// Parse error with location information.
@@ -40,18 +47,26 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Parse a full translation unit (one or more kernels).
-pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let tokens = lex(src)?;
+/// Parse a full translation unit (one or more kernels). The program
+/// borrows its names from `src`.
+///
+/// A lex error anywhere in the source is reported in preference to a
+/// parse error before it, as if the whole source were lexed first.
+pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
+    let mut lexer = Lexer::new(src);
     let mut p = Parser {
         src,
-        tokens,
-        pos: 0,
+        tok: lexer.next_token(),
+        lexer,
+        arena: Arena::for_source(src.len()),
+        open_stmts: Vec::with_capacity(16),
+        open_args: Vec::with_capacity(8),
+        error: None,
     };
-    let mut kernels = Vec::new();
-    while !p.at_eof() {
-        kernels.push(p.kernel_fn()?);
-    }
+    let parsed = p.kernels();
+    // A lex error outranks the parse error that stopped before it.
+    p.lexer.finish()?;
+    let kernels = parsed.map_err(|Failed| p.error.expect("a failed parse records its error"))?;
     if kernels.is_empty() {
         return Err(ParseError {
             message: "source contains no kernels".into(),
@@ -61,42 +76,84 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Ok(Program { kernels })
 }
 
-struct Parser<'a> {
-    src: &'a str,
-    tokens: Vec<Token>,
-    pos: usize,
+/// The arenas of the kernel being parsed.
+#[derive(Default)]
+struct Arena<'src> {
+    exprs: Vec<Expr<'src>>,
+    stmts: Vec<Stmt<'src>>,
+    args: Vec<ExprId>,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl Arena<'_> {
+    /// Arenas sized for a source of `len` bytes, so that a typical
+    /// kernel never regrows them: the shipped kernels hold about one
+    /// expression per 8 source bytes and one statement per 30. The
+    /// estimate stops growing at 16 KiB, since long comments inflate
+    /// the byte count without adding nodes.
+    fn for_source(len: usize) -> Self {
+        let len = len.min(1 << 14);
+        Arena {
+            exprs: Vec::with_capacity(len / 6),
+            stmts: Vec::with_capacity(len / 20),
+            args: Vec::with_capacity(len / 64),
+        }
     }
-    fn peek_at(&self, n: usize) -> &TokenKind {
-        let i = (self.pos + n).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+}
+
+struct Parser<'src> {
+    src: &'src str,
+    lexer: Lexer<'src>,
+    /// The current token.
+    tok: Token<'src>,
+    arena: Arena<'src>,
+    /// Statements of the blocks still open, innermost last.
+    open_stmts: Vec<Stmt<'src>>,
+    /// Arguments of the calls still open, innermost last.
+    open_args: Vec<ExprId>,
+    /// Why the parse stopped, once it has.
+    error: Option<ParseError>,
+}
+
+/// A parse stopped; the error is in [`Parser::error`]. Keeping it out of
+/// the `Result`s keeps every recursive call's result in registers.
+struct Failed;
+
+/// An arena index. Every node spends at least one source byte, so any
+/// source under 4 GiB fits (the daemon takes lines of at most 4 MiB).
+fn id(len: usize) -> u32 {
+    u32::try_from(len).expect("fewer than 2^32 nodes per kernel")
+}
+
+impl<'src> Parser<'src> {
+    fn peek(&self) -> TokenKind<'src> {
+        self.tok.kind
+    }
+    /// The kind of the token `n ≥ 1` places on, lexed by a copy of the
+    /// lexer (only a cast needs to look past the current token).
+    fn peek_at(&self, n: usize) -> TokenKind<'src> {
+        let mut ahead = self.lexer.clone();
+        for _ in 1..n {
+            ahead.next_token();
+        }
+        ahead.next_token().kind
     }
     fn span(&self) -> Span {
-        self.tokens[self.pos].span
+        self.tok.span
     }
     fn at_eof(&self) -> bool {
-        matches!(self.peek(), TokenKind::Eof)
+        self.peek() == TokenKind::Eof
     }
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    fn bump(&mut self) {
+        self.tok = self.lexer.next_token();
     }
     fn eat_op(&mut self, op: Op) -> bool {
-        if *self.peek() == TokenKind::Op(op) {
+        let hit = self.peek() == TokenKind::Op(op);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
-    fn expect_op(&mut self, op: Op) -> Result<(), ParseError> {
+    fn expect_op(&mut self, op: Op) -> Result<(), Failed> {
         if self.eat_op(op) {
             Ok(())
         } else {
@@ -104,22 +161,21 @@ impl Parser<'_> {
         }
     }
     fn eat_kw(&mut self, kw: Keyword) -> bool {
-        if *self.peek() == TokenKind::Kw(kw) {
+        let hit = self.peek() == TokenKind::Kw(kw);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
-    fn expect_kw(&mut self, kw: Keyword) -> Result<(), ParseError> {
+    fn expect_kw(&mut self, kw: Keyword) -> Result<(), Failed> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
             Err(self.unexpected(&format!("'{}'", kw.text())))
         }
     }
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn expect_ident(&mut self) -> Result<&'src str, Failed> {
+        match self.peek() {
             TokenKind::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -127,22 +183,51 @@ impl Parser<'_> {
             _ => Err(self.unexpected("identifier")),
         }
     }
-    fn err(&self, message: String) -> ParseError {
-        ParseError {
-            message,
-            span: self.span(),
-        }
+    fn err(&mut self, message: String) -> Failed {
+        self.fail_at(self.span(), message)
+    }
+    fn fail_at(&mut self, span: Span, message: String) -> Failed {
+        self.error = Some(ParseError { message, span });
+        Failed
     }
     /// An "expected `what`, found …" error at the current token, whose
     /// source text the message quotes.
-    fn unexpected(&self, what: &str) -> ParseError {
+    fn unexpected(&mut self, what: &str) -> Failed {
         let found = quote(self.src, self.span());
         self.err(format!("expected {what}, found {found}"))
     }
 
+    // ---- arenas ---------------------------------------------------------
+
+    fn push_expr(&mut self, e: Expr<'src>) -> ExprId {
+        self.arena.exprs.push(e);
+        ExprId(id(self.arena.exprs.len() - 1))
+    }
+    fn push_stmt(&mut self, s: Stmt<'src>) -> StmtId {
+        self.arena.stmts.push(s);
+        StmtId(id(self.arena.stmts.len() - 1))
+    }
+    /// Move the statements staged since `mark` into the arena as a block.
+    fn close_block(&mut self, mark: usize) -> Stmts {
+        let start = id(self.arena.stmts.len());
+        self.arena.stmts.extend(self.open_stmts.drain(mark..));
+        Stmts {
+            start,
+            end: id(self.arena.stmts.len()),
+        }
+    }
+
     // ---- declarations -------------------------------------------------
 
-    fn kernel_fn(&mut self) -> Result<KernelFn, ParseError> {
+    fn kernels(&mut self) -> Result<Vec<KernelFn<'src>>, Failed> {
+        let mut kernels = Vec::with_capacity(1);
+        while !self.at_eof() {
+            kernels.push(self.kernel_fn()?);
+        }
+        Ok(kernels)
+    }
+
+    fn kernel_fn(&mut self) -> Result<KernelFn<'src>, Failed> {
         let span = self.span();
         self.expect_kw(Keyword::Kernel)?;
         self.expect_kw(Keyword::Void)?;
@@ -160,15 +245,19 @@ impl Parser<'_> {
         }
         self.expect_op(Op::LBrace)?;
         let body = self.block_body()?;
+        let Arena { exprs, stmts, args } = std::mem::take(&mut self.arena);
         Ok(KernelFn {
             name,
             params,
             body,
             span,
+            exprs,
+            stmts,
+            args,
         })
     }
 
-    fn param(&mut self) -> Result<Param, ParseError> {
+    fn param(&mut self) -> Result<Param<'src>, Failed> {
         let mut space = AddressSpace::Private;
         let mut is_const = false;
         loop {
@@ -197,22 +286,14 @@ impl Parser<'_> {
         }
         let name = self.expect_ident()?;
         let ty = if pointer {
-            Type {
-                scalar,
-                pointer: true,
-                space,
-            }
+            Type::pointer(scalar, space)
         } else {
-            Type {
-                scalar,
-                pointer: false,
-                space: AddressSpace::Private,
-            }
+            Type::scalar(scalar)
         };
         Ok(Param { ty, name, is_const })
     }
 
-    fn scalar_type(&mut self) -> Result<Scalar, ParseError> {
+    fn scalar_type(&mut self) -> Result<Scalar, Failed> {
         let s = match self.peek() {
             TokenKind::Kw(Keyword::Void) => Scalar::Void,
             TokenKind::Kw(Keyword::Int) => Scalar::Int,
@@ -246,20 +327,21 @@ impl Parser<'_> {
 
     // ---- statements ----------------------------------------------------
 
-    fn block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        let mut out = Vec::new();
+    fn block_body(&mut self) -> Result<Stmts, Failed> {
+        let mark = self.open_stmts.len();
         while !self.eat_op(Op::RBrace) {
             if self.at_eof() {
                 return Err(self.err("unexpected end of input inside block".into()));
             }
-            out.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.open_stmts.push(s);
         }
-        Ok(out)
+        Ok(self.close_block(mark))
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Op(Op::LBrace) => {
                 self.bump();
                 Ok(Stmt::Block(self.block_body()?, span))
@@ -303,7 +385,7 @@ impl Parser<'_> {
     }
 
     /// Declaration without trailing `;` (shared with `for` init).
-    fn decl_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn decl_stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
         let mut space = AddressSpace::Private;
         loop {
@@ -321,19 +403,14 @@ impl Parser<'_> {
         let name = self.expect_ident()?;
         // Fixed-size array declaration (e.g. `__local float tile[256];`).
         if self.eat_op(Op::LBracket) {
-            let len = match *self.peek() {
+            let len = match self.peek() {
                 TokenKind::IntLit(v, _) if v > 0 => v as u64,
                 _ => return Err(self.unexpected("array length literal")),
             };
             self.bump();
             self.expect_op(Op::RBracket)?;
-            let ty = Type {
-                scalar,
-                pointer: true,
-                space,
-            };
             return Ok(Stmt::Decl {
-                ty,
+                ty: Type::pointer(scalar, space),
                 name,
                 array_len: Some(len),
                 init: None,
@@ -360,82 +437,69 @@ impl Parser<'_> {
 
     /// Assignment / expression statement without trailing `;`
     /// (shared with `for` init/step).
-    fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn simple_stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
         // Pre-increment/decrement.
-        if self.eat_op(Op::PlusPlus) {
-            let name = self.expect_ident()?;
-            return Ok(self.incdec(name, BinOp::Add, span));
-        }
-        if self.eat_op(Op::MinusMinus) {
-            let name = self.expect_ident()?;
-            return Ok(self.incdec(name, BinOp::Sub, span));
+        for (op, bin) in [(Op::PlusPlus, BinOp::Add), (Op::MinusMinus, BinOp::Sub)] {
+            if self.eat_op(op) {
+                let name = self.expect_ident()?;
+                return Ok(self.incdec(name, bin, span));
+            }
         }
         let e = self.expr()?;
         // Post-increment/decrement.
-        if self.eat_op(Op::PlusPlus) {
-            return self.expect_var(e, span, BinOp::Add);
+        for (op, bin) in [(Op::PlusPlus, BinOp::Add), (Op::MinusMinus, BinOp::Sub)] {
+            if self.eat_op(op) {
+                return match *self.arena.exprs.last().expect("an expression was parsed") {
+                    Expr::Var(name) => {
+                        self.arena.exprs.pop();
+                        Ok(self.incdec(name, bin, span))
+                    }
+                    _ => Err(self.fail_at(span, "'++' or '--' requires a variable".into())),
+                };
+            }
         }
-        if self.eat_op(Op::MinusMinus) {
-            return self.expect_var(e, span, BinOp::Sub);
-        }
-        let assign_op = match self.peek() {
-            TokenKind::Op(Op::Assign) => Some(None),
-            TokenKind::Op(Op::PlusAssign) => Some(Some(BinOp::Add)),
-            TokenKind::Op(Op::MinusAssign) => Some(Some(BinOp::Sub)),
-            TokenKind::Op(Op::StarAssign) => Some(Some(BinOp::Mul)),
-            TokenKind::Op(Op::SlashAssign) => Some(Some(BinOp::Div)),
-            TokenKind::Op(Op::PercentAssign) => Some(Some(BinOp::Rem)),
-            TokenKind::Op(Op::AmpAssign) => Some(Some(BinOp::BitAnd)),
-            TokenKind::Op(Op::PipeAssign) => Some(Some(BinOp::BitOr)),
-            TokenKind::Op(Op::CaretAssign) => Some(Some(BinOp::BitXor)),
-            TokenKind::Op(Op::ShlAssign) => Some(Some(BinOp::Shl)),
-            TokenKind::Op(Op::ShrAssign) => Some(Some(BinOp::Shr)),
-            _ => None,
+        let op = match self.peek() {
+            TokenKind::Op(Op::Assign) => None,
+            TokenKind::Op(Op::PlusAssign) => Some(BinOp::Add),
+            TokenKind::Op(Op::MinusAssign) => Some(BinOp::Sub),
+            TokenKind::Op(Op::StarAssign) => Some(BinOp::Mul),
+            TokenKind::Op(Op::SlashAssign) => Some(BinOp::Div),
+            TokenKind::Op(Op::PercentAssign) => Some(BinOp::Rem),
+            TokenKind::Op(Op::AmpAssign) => Some(BinOp::BitAnd),
+            TokenKind::Op(Op::PipeAssign) => Some(BinOp::BitOr),
+            TokenKind::Op(Op::CaretAssign) => Some(BinOp::BitXor),
+            TokenKind::Op(Op::ShlAssign) => Some(BinOp::Shl),
+            TokenKind::Op(Op::ShrAssign) => Some(BinOp::Shr),
+            _ => return Ok(Stmt::Expr(e, span)),
         };
-        if let Some(op) = assign_op {
-            self.bump();
-            let target = match e {
-                Expr::Var(name) => LValue::Var(name),
-                Expr::Index { base, index } => LValue::Index { base, index },
-                _ => {
-                    return Err(ParseError {
-                        message: "invalid assignment target".into(),
-                        span,
-                    })
-                }
-            };
-            let value = self.expr()?;
-            return Ok(Stmt::Assign {
-                target,
-                op,
-                value,
-                span,
-            });
-        }
-        Ok(Stmt::Expr(e, span))
+        self.bump();
+        // The target's root is the node parsed last; it becomes the
+        // statement's `LValue` and leaves the arena.
+        let target = match self.arena.exprs.pop().expect("an expression was parsed") {
+            Expr::Var(name) => LValue::Var(name),
+            Expr::Index { base, index } => LValue::Index { base, index },
+            _ => return Err(self.fail_at(span, "invalid assignment target".into())),
+        };
+        let value = self.expr()?;
+        Ok(Stmt::Assign {
+            target,
+            op,
+            value,
+            span,
+        })
     }
 
-    fn incdec(&self, name: String, op: BinOp, span: Span) -> Stmt {
+    fn incdec(&mut self, name: &'src str, op: BinOp, span: Span) -> Stmt<'src> {
         Stmt::Assign {
-            target: LValue::Var(name.clone()),
+            target: LValue::Var(name),
             op: Some(op),
-            value: Expr::IntLit(1),
+            value: self.push_expr(Expr::IntLit(1)),
             span,
         }
     }
 
-    fn expect_var(&self, e: Expr, span: Span, op: BinOp) -> Result<Stmt, ParseError> {
-        match e {
-            Expr::Var(name) => Ok(self.incdec(name, op, span)),
-            _ => Err(ParseError {
-                message: "'++' or '--' requires a variable".into(),
-                span,
-            }),
-        }
-    }
-
-    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn if_stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
         self.expect_kw(Keyword::If)?;
         self.expect_op(Op::LParen)?;
@@ -445,7 +509,7 @@ impl Parser<'_> {
         let other = if self.eat_kw(Keyword::Else) {
             self.stmt_or_block()?
         } else {
-            Vec::new()
+            self.close_block(self.open_stmts.len())
         };
         Ok(Stmt::If {
             cond,
@@ -455,15 +519,19 @@ impl Parser<'_> {
         })
     }
 
-    fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn stmt_or_block(&mut self) -> Result<Stmts, Failed> {
         if self.eat_op(Op::LBrace) {
-            self.block_body()
-        } else {
-            Ok(vec![self.stmt()?])
+            return self.block_body();
         }
+        let s = self.stmt()?;
+        let StmtId(start) = self.push_stmt(s);
+        Ok(Stmts {
+            start,
+            end: start + 1,
+        })
     }
 
-    fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn for_stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
         self.expect_kw(Keyword::For)?;
         self.expect_op(Op::LParen)?;
@@ -476,7 +544,7 @@ impl Parser<'_> {
                 self.simple_stmt()?
             };
             self.expect_op(Op::Semi)?;
-            Some(Box::new(s))
+            Some(self.push_stmt(s))
         };
         let cond = if self.eat_op(Op::Semi) {
             None
@@ -485,10 +553,11 @@ impl Parser<'_> {
             self.expect_op(Op::Semi)?;
             Some(c)
         };
-        let step = if *self.peek() == TokenKind::Op(Op::RParen) {
+        let step = if self.peek() == TokenKind::Op(Op::RParen) {
             None
         } else {
-            Some(Box::new(self.simple_stmt()?))
+            let s = self.simple_stmt()?;
+            Some(self.push_stmt(s))
         };
         self.expect_op(Op::RParen)?;
         let body = self.stmt_or_block()?;
@@ -501,7 +570,7 @@ impl Parser<'_> {
         })
     }
 
-    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn while_stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
         self.expect_kw(Keyword::While)?;
         self.expect_op(Op::LParen)?;
@@ -514,7 +583,7 @@ impl Parser<'_> {
     /// `do body while (cond);` is desugared to `body; while(cond) body`
     /// for analysis purposes — the body executes at least once and the
     /// static trip-count model treats both forms identically.
-    fn do_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn do_stmt(&mut self) -> Result<Stmt<'src>, Failed> {
         let span = self.span();
         self.expect_kw(Keyword::Do)?;
         let body = self.stmt_or_block()?;
@@ -528,52 +597,45 @@ impl Parser<'_> {
 
     // ---- expressions (precedence climbing) ------------------------------
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
-    }
-
-    fn ternary(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, Failed> {
         let cond = self.binary(0)?;
-        if self.eat_op(Op::Question) {
-            let then = self.expr()?;
-            self.expect_op(Op::Colon)?;
-            let other = self.expr()?;
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                other: Box::new(other),
-            })
-        } else {
-            Ok(cond)
+        if !self.eat_op(Op::Question) {
+            return Ok(cond);
         }
+        let then = self.expr()?;
+        self.expect_op(Op::Colon)?;
+        let other = self.expr()?;
+        Ok(self.push_expr(Expr::Ternary { cond, then, other }))
     }
 
-    fn bin_op_prec(kind: &TokenKind) -> Option<(BinOp, u8)> {
-        let (op, p) = match kind {
-            TokenKind::Op(Op::OrOr) => (BinOp::LogOr, 1),
-            TokenKind::Op(Op::AndAnd) => (BinOp::LogAnd, 2),
-            TokenKind::Op(Op::Pipe) => (BinOp::BitOr, 3),
-            TokenKind::Op(Op::Caret) => (BinOp::BitXor, 4),
-            TokenKind::Op(Op::Amp) => (BinOp::BitAnd, 5),
-            TokenKind::Op(Op::EqEq) => (BinOp::Eq, 6),
-            TokenKind::Op(Op::Ne) => (BinOp::Ne, 6),
-            TokenKind::Op(Op::Lt) => (BinOp::Lt, 7),
-            TokenKind::Op(Op::Gt) => (BinOp::Gt, 7),
-            TokenKind::Op(Op::Le) => (BinOp::Le, 7),
-            TokenKind::Op(Op::Ge) => (BinOp::Ge, 7),
-            TokenKind::Op(Op::Shl) => (BinOp::Shl, 8),
-            TokenKind::Op(Op::Shr) => (BinOp::Shr, 8),
-            TokenKind::Op(Op::Plus) => (BinOp::Add, 9),
-            TokenKind::Op(Op::Minus) => (BinOp::Sub, 9),
-            TokenKind::Op(Op::Star) => (BinOp::Mul, 10),
-            TokenKind::Op(Op::Slash) => (BinOp::Div, 10),
-            TokenKind::Op(Op::Percent) => (BinOp::Rem, 10),
-            _ => return None,
+    fn bin_op_prec(kind: TokenKind<'_>) -> Option<(BinOp, u8)> {
+        let TokenKind::Op(op) = kind else {
+            return None;
         };
-        Some((op, p))
+        Some(match op {
+            Op::OrOr => (BinOp::LogOr, 1),
+            Op::AndAnd => (BinOp::LogAnd, 2),
+            Op::Pipe => (BinOp::BitOr, 3),
+            Op::Caret => (BinOp::BitXor, 4),
+            Op::Amp => (BinOp::BitAnd, 5),
+            Op::EqEq => (BinOp::Eq, 6),
+            Op::Ne => (BinOp::Ne, 6),
+            Op::Lt => (BinOp::Lt, 7),
+            Op::Gt => (BinOp::Gt, 7),
+            Op::Le => (BinOp::Le, 7),
+            Op::Ge => (BinOp::Ge, 7),
+            Op::Shl => (BinOp::Shl, 8),
+            Op::Shr => (BinOp::Shr, 8),
+            Op::Plus => (BinOp::Add, 9),
+            Op::Minus => (BinOp::Sub, 9),
+            Op::Star => (BinOp::Mul, 10),
+            Op::Slash => (BinOp::Div, 10),
+            Op::Percent => (BinOp::Rem, 10),
+            _ => return None,
+        })
     }
 
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn binary(&mut self, min_prec: u8) -> Result<ExprId, Failed> {
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = Self::bin_op_prec(self.peek()) {
             if prec < min_prec {
@@ -581,116 +643,95 @@ impl Parser<'_> {
             }
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.push_expr(Expr::Binary { op, lhs, rhs });
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_op(Op::Minus) {
-            return Ok(Expr::Unary {
-                op: UnOp::Neg,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_op(Op::Bang) {
-            return Ok(Expr::Unary {
-                op: UnOp::Not,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_op(Op::Tilde) {
-            return Ok(Expr::Unary {
-                op: UnOp::BitNot,
-                expr: Box::new(self.unary()?),
-            });
+    fn unary(&mut self) -> Result<ExprId, Failed> {
+        for (tok, op) in [
+            (Op::Minus, UnOp::Neg),
+            (Op::Bang, UnOp::Not),
+            (Op::Tilde, UnOp::BitNot),
+        ] {
+            if self.eat_op(tok) {
+                let expr = self.unary()?;
+                return Ok(self.push_expr(Expr::Unary { op, expr }));
+            }
         }
         if self.eat_op(Op::Plus) {
             return self.unary();
         }
         // Cast: `(type) expr` — look ahead for `(` followed by a type
         // keyword followed by `)`.
-        if *self.peek() == TokenKind::Op(Op::LParen) {
-            if let TokenKind::Kw(
-                Keyword::Int | Keyword::Uint | Keyword::Long | Keyword::Ulong | Keyword::Float,
-            ) = self.peek_at(1)
-            {
-                if *self.peek_at(2) == TokenKind::Op(Op::RParen) {
-                    self.bump(); // (
-                    let ty = self.scalar_type()?;
-                    self.bump(); // )
-                    let e = self.unary()?;
-                    return Ok(Expr::Cast {
-                        ty,
-                        expr: Box::new(e),
-                    });
-                }
-            }
+        if self.peek() == TokenKind::Op(Op::LParen)
+            && matches!(
+                self.peek_at(1),
+                TokenKind::Kw(
+                    Keyword::Int | Keyword::Uint | Keyword::Long | Keyword::Ulong | Keyword::Float
+                )
+            )
+            && self.peek_at(2) == TokenKind::Op(Op::RParen)
+        {
+            self.bump(); // (
+            let ty = self.scalar_type()?;
+            self.bump(); // )
+            let expr = self.unary()?;
+            return Ok(self.push_expr(Expr::Cast { ty, expr }));
         }
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.primary()?;
-        loop {
-            if self.eat_op(Op::LBracket) {
-                let idx = self.expr()?;
-                self.expect_op(Op::RBracket)?;
-                e = Expr::Index {
-                    base: Box::new(e),
-                    index: Box::new(idx),
-                };
-            } else {
-                break;
-            }
+    fn postfix(&mut self) -> Result<ExprId, Failed> {
+        let mut base = self.primary()?;
+        while self.eat_op(Op::LBracket) {
+            let index = self.expr()?;
+            self.expect_op(Op::RBracket)?;
+            base = self.push_expr(Expr::Index { base, index });
         }
-        Ok(e)
+        Ok(base)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            TokenKind::IntLit(v, _) => {
-                self.bump();
-                Ok(Expr::IntLit(v))
-            }
-            TokenKind::FloatLit(v) => {
-                self.bump();
-                Ok(Expr::FloatLit(v))
-            }
-            TokenKind::Kw(Keyword::True) => {
-                self.bump();
-                Ok(Expr::BoolLit(true))
-            }
-            TokenKind::Kw(Keyword::False) => {
-                self.bump();
-                Ok(Expr::BoolLit(false))
-            }
+    fn primary(&mut self) -> Result<ExprId, Failed> {
+        let e = match self.peek() {
+            TokenKind::IntLit(v, _) => Expr::IntLit(v),
+            TokenKind::FloatLit(v) => Expr::FloatLit(v),
+            TokenKind::Kw(Keyword::True) => Expr::BoolLit(true),
+            TokenKind::Kw(Keyword::False) => Expr::BoolLit(false),
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.eat_op(Op::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat_op(Op::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat_op(Op::RParen) {
-                                break;
-                            }
-                            self.expect_op(Op::Comma)?;
-                        }
-                    }
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Var(name))
+                if !self.eat_op(Op::LParen) {
+                    return Ok(self.push_expr(Expr::Var(name)));
                 }
+                let mark = self.open_args.len();
+                if !self.eat_op(Op::RParen) {
+                    loop {
+                        let arg = self.expr()?;
+                        self.open_args.push(arg);
+                        if self.eat_op(Op::RParen) {
+                            break;
+                        }
+                        self.expect_op(Op::Comma)?;
+                    }
+                }
+                let start = id(self.arena.args.len());
+                self.arena.args.extend(self.open_args.drain(mark..));
+                let args = Args {
+                    start,
+                    end: id(self.arena.args.len()),
+                };
+                return Ok(self.push_expr(Expr::Call { name, args }));
             }
             TokenKind::Op(Op::LParen) => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect_op(Op::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            _ => Err(self.unexpected("expression")),
-        }
+            _ => return Err(self.unexpected("expression")),
+        };
+        self.bump();
+        Ok(self.push_expr(e))
     }
 }
 
@@ -698,7 +739,7 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn parse_one(src: &str) -> KernelFn {
+    fn parse_one(src: &str) -> KernelFn<'_> {
         parse(src).unwrap().kernels.into_iter().next().unwrap()
     }
 
@@ -707,7 +748,7 @@ mod tests {
         let k = parse_one("__kernel void k() { }");
         assert_eq!(k.name, "k");
         assert!(k.params.is_empty());
-        assert!(k.body.is_empty());
+        assert!(k.stmts(k.body).is_empty());
     }
 
     #[test]
@@ -739,16 +780,17 @@ mod tests {
                 a[i] = x * 2.0f;
             }",
         );
-        assert_eq!(k.body.len(), 4);
+        let body = k.stmts(k.body);
+        assert_eq!(body.len(), 4);
         assert!(matches!(
-            &k.body[2],
+            &body[2],
             Stmt::Assign {
                 op: Some(BinOp::Add),
                 ..
             }
         ));
         assert!(matches!(
-            &k.body[3],
+            &body[3],
             Stmt::Assign {
                 target: LValue::Index { .. },
                 ..
@@ -769,14 +811,14 @@ mod tests {
             step,
             body,
             ..
-        } = &k.body[0]
+        } = &k.stmts(k.body)[0]
         else {
             panic!("expected for")
         };
         assert!(init.is_some());
         assert!(cond.is_some());
         assert!(step.is_some());
-        assert_eq!(body.len(), 1);
+        assert_eq!(k.stmts(*body).len(), 1);
     }
 
     #[test]
@@ -787,11 +829,11 @@ mod tests {
                 if (i < 4) a[i] = 1; else { a[i] = 2; }
             }",
         );
-        let Stmt::If { then, other, .. } = &k.body[1] else {
+        let Stmt::If { then, other, .. } = k.stmts(k.body)[1] else {
             panic!("expected if")
         };
-        assert_eq!(then.len(), 1);
-        assert_eq!(other.len(), 1);
+        assert_eq!(k.stmts(then).len(), 1);
+        assert_eq!(k.stmts(other).len(), 1);
     }
 
     #[test]
@@ -803,14 +845,15 @@ mod tests {
                 do { i = i - 1; } while (i > 0);
             }",
         );
-        assert!(matches!(k.body[1], Stmt::While { .. }));
-        assert!(matches!(k.body[2], Stmt::While { .. }));
+        let body = k.stmts(k.body);
+        assert!(matches!(body[1], Stmt::While { .. }));
+        assert!(matches!(body[2], Stmt::While { .. }));
     }
 
     #[test]
     fn parse_precedence() {
         let k = parse_one("__kernel void k(__global int* a) { a[0] = 1 + 2 * 3; }");
-        let Stmt::Assign { value, .. } = &k.body[0] else {
+        let Stmt::Assign { value, .. } = k.stmts(k.body)[0] else {
             panic!()
         };
         // 1 + (2*3)
@@ -818,11 +861,11 @@ mod tests {
             op: BinOp::Add,
             rhs,
             ..
-        } = value
+        } = *k.expr(value)
         else {
-            panic!("got {value:?}")
+            panic!("got {:?}", k.expr(value))
         };
-        assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
+        assert!(matches!(k.expr(rhs), Expr::Binary { op: BinOp::Mul, .. }));
     }
 
     #[test]
@@ -833,10 +876,10 @@ mod tests {
                 a[i] = i < n ? (float)i : 0.0f;
             }",
         );
-        let Stmt::Assign { value, .. } = &k.body[1] else {
+        let Stmt::Assign { value, .. } = k.stmts(k.body)[1] else {
             panic!()
         };
-        assert!(matches!(value, Expr::Ternary { .. }));
+        assert!(matches!(k.expr(value), Expr::Ternary { .. }));
     }
 
     #[test]
@@ -848,7 +891,16 @@ mod tests {
                 barrier(CLK_LOCAL_MEM_FENCE);
             }",
         );
-        assert!(matches!(&k.body[2], Stmt::Expr(Expr::Call { name, .. }, _) if name == "barrier"));
+        let Stmt::Expr(call, _) = k.stmts(k.body)[2] else {
+            panic!()
+        };
+        assert!(matches!(
+            k.expr(call),
+            Expr::Call {
+                name: "barrier",
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -860,10 +912,10 @@ mod tests {
                 tile[l] = a[l];
             }",
         );
-        let Stmt::Decl { ty, array_len, .. } = &k.body[0] else {
+        let Stmt::Decl { ty, array_len, .. } = k.stmts(k.body)[0] else {
             panic!()
         };
-        assert_eq!(*array_len, Some(64));
+        assert_eq!(array_len, Some(64));
         assert_eq!(ty.space, AddressSpace::Local);
         assert!(ty.pointer);
     }
@@ -929,12 +981,12 @@ mod tests {
                 x <<= 2; x >>= 1; x &= 3; x |= 4; x ^= 5; x %= 6; x *= 7; x /= 8; x -= 9;
             }",
         );
-        assert_eq!(k.body.len(), 10);
+        assert_eq!(k.stmts(k.body).len(), 10);
     }
 
     #[test]
     fn parse_unary_ops() {
         let k = parse_one("__kernel void k(__global int* a) { a[0] = -a[1] + ~a[2]; a[3] = !0; }");
-        assert_eq!(k.body.len(), 2);
+        assert_eq!(k.stmts(k.body).len(), 2);
     }
 }

@@ -74,11 +74,7 @@ impl KernelProfile {
         launch: LaunchConfig,
     ) -> Result<KernelProfile, AnalysisError> {
         let analysis = analyze_kernel_with(kernel, config)?;
-        Ok(KernelProfile::from_analysis(
-            &kernel.name,
-            &analysis,
-            launch,
-        ))
+        Ok(KernelProfile::from_analysis(kernel.name, &analysis, launch))
     }
 
     /// Build a profile from an analysis the caller already ran —

@@ -1329,10 +1329,29 @@ mod tests {
         }
     }
 
+    /// An RBF model with five blocks of support vectors and mixed-sign
+    /// coefficients over six decades, so that regrouping the blocks'
+    /// partial sums moves bits (the trained 2-feature models have too
+    /// few blocks for that).
+    fn wide_model() -> SvrModel {
+        let mut rng = SmallRng::seed_from_u64(37);
+        let n = 4 * LANES + 3;
+        let support_x = (0..n)
+            .map(|_| (0..3).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let beta = (0..n)
+            .map(|i| {
+                let sign = if i % 3 == 1 { -1.0 } else { 1.0 };
+                sign * 10f64.powi(i as i32 % 7 - 3) * rng.gen_range(1.0..2.0)
+            })
+            .collect();
+        SvrModel::from_parts(SvmKernel::Rbf { gamma: 0.7 }, support_x, beta, 0.25)
+    }
+
     #[test]
     fn line_lanes_match_single_point_calls() {
         let mut rng = SmallRng::seed_from_u64(29);
-        for model in trained_models() {
+        for model in trained_models().into_iter().chain([wide_model()]) {
             let plan = model.scoring_plan();
             let mut point =
                 || -> Vec<f64> { (0..plan.dims()).map(|_| rng.gen_range(-2.0..2.0)).collect() };

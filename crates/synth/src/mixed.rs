@@ -239,7 +239,8 @@ mod tests {
     #[test]
     fn mixes_touch_multiple_feature_classes() {
         for m in mix_specs() {
-            let prog = parse(&m.kernel_source()).unwrap();
+            let src = m.kernel_source();
+            let prog = parse(&src).unwrap();
             let a = analyze_kernel(prog.first_kernel().unwrap()).unwrap();
             let f = StaticFeatures::from_analysis(&a);
             let active = f.values().iter().filter(|&&v| v > 0.01).count();
@@ -253,7 +254,8 @@ mod tests {
             .into_iter()
             .find(|m| m.name == "b-mix-all-heavy")
             .unwrap();
-        let prog = parse(&all.kernel_source()).unwrap();
+        let src = all.kernel_source();
+        let prog = parse(&src).unwrap();
         let a = analyze_kernel(prog.first_kernel().unwrap()).unwrap();
         let f = StaticFeatures::from_analysis(&a);
         let active = f.values().iter().filter(|&&v| v > 0.005).count();

@@ -234,7 +234,8 @@ mod tests {
     fn intensity_increases_target_share() {
         for p in PatternKind::ALL {
             let share = |i: u32| {
-                let prog = parse(&p.kernel_source(i)).unwrap();
+                let src = p.kernel_source(i);
+                let prog = parse(&src).unwrap();
                 let a = analyze_kernel(prog.first_kernel().unwrap()).unwrap();
                 StaticFeatures::from_analysis(&a).get(p.feature_index())
             };
